@@ -1,30 +1,29 @@
 """Exhaustive enumeration: counting, classes, and reference-table checks.
 
-Two independent counting paths are shipped.  The default walks the
-prefix-closed search tree: both the prefix normal words and the
-pre-necklaces are closed under truncation, so a depth-first walk that only
-ever extends valid words visits each one exactly once.  The oracle path
-filters all 2^n words through the standalone predicate and exists to check
-the tree walk.
+Counting walks the prefix-closed search tree: both the prefix normal
+words and the pre-necklaces are closed under truncation, so a depth-first
+walk that only ever extends valid words visits each one exactly once.
 
 The class census groups all 2^n words of a length by their prefix normal
 form.  It streams the words in fixed-size chunks (vectorized profile
 computation per chunk, hash-keyed counters across chunks) so memory stays
-flat, and can spread chunks over worker processes.  Reference data for the
+flat, and can spread chunks over worker processes.  Parallel runs use at
+most one worker per cpu and per task.  Reference data for the
 known count/class tables is frozen here and re-derived by verify_tables.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterator
-
-import numpy as np
+from typing import Callable, Iterator
 
 from .lyndon import _lyndon_prefix_period
 from .pnf import is_prefix_normal
+from .profiles import window_max
+from .words import prefix_counts
 
 DEFAULT_COUNT_BOUND = 24
 DEFAULT_CENSUS_BOUND = 20
@@ -41,17 +40,6 @@ _DECODE = str.maketrans("01", "ab")
 
 # ---------------------------------------------------------------------------
 # Tree-walk enumeration
-
-def _pn_state(word: str) -> tuple[list[int], list[int]]:
-    """Prefix and suffix a-count arrays driving the right-extension test."""
-    prefix = [0]
-    for ch in word:
-        prefix.append(prefix[-1] + (ch == "a"))
-    suffix = [0]
-    for ch in reversed(word):
-        suffix.append(suffix[-1] + (ch == "a"))
-    return prefix, suffix
-
 
 def _pn_subtree_counts(root: str, max_n: int) -> list[int]:
     """Per-depth node counts of the prefix normal tree under ``root``.
@@ -70,7 +58,8 @@ def _pn_subtree_counts(root: str, max_n: int) -> list[int]:
             walk([*prefix, prefix[-1] + 1], [0, *(c + 1 for c in suffix)])
         walk([*prefix, prefix[-1]], [0, *suffix])
 
-    walk(*_pn_state(root))
+    # prefix and suffix a-counts drive the right-extension test
+    walk(prefix_counts(root), prefix_counts(root[::-1]))
     return counts
 
 
@@ -155,20 +144,35 @@ def iter_pre_necklaces(n: int) -> Iterator[str]:
     yield from walk(0)
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
+def _map_tasks(fn: Callable, tasks: list, jobs: int) -> Iterator:
+    """fn over ``tasks`` in order, on at most as many worker processes as
+    ``jobs``, cpus and tasks; in this process when that is one."""
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        yield from map(fn, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, tasks,
+                            chunksize=max(1, len(tasks) // (workers * 4)))
+
+
 def _tree_counts(kind: str, max_n: int, jobs: int) -> list[int]:
+    _check_jobs(jobs)
     subtree = _pn_subtree_counts if kind == "pn" else _pl_subtree_counts
-    if jobs <= 1 or max_n <= _SPLIT_DEPTH + 1:
+    if jobs == 1 or max_n <= _SPLIT_DEPTH + 1:
         return subtree("", max_n)
     split = _SPLIT_DEPTH
     counts = subtree("", split)[:split] + [0] * (max_n - split + 1)
     roots = list(iter_prefix_normal(split) if kind == "pn"
                  else iter_pre_necklaces(split))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(roots) // (jobs * 4))
-        for part in pool.map(partial(subtree, max_n=max_n), roots,
-                             chunksize=chunk):
-            for d in range(split, max_n + 1):
-                counts[d] += part[d]
+    for part in _map_tasks(partial(subtree, max_n=max_n), roots, jobs):
+        for d in range(split, max_n + 1):
+            counts[d] += part[d]
     return counts
 
 
@@ -191,17 +195,6 @@ def count_pre_necklaces(n: int, bound: int = DEFAULT_COUNT_BOUND,
     """Number of pre-necklaces of length ``n`` (tree walk)."""
     _check_count_args(n, bound)
     return _tree_counts("pl", n, jobs)[n]
-
-
-def count_prefix_normal_by_filter(n: int) -> int:
-    """Oracle counting path: test all 2^n words one by one."""
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    total = 0
-    for code in range(1 << n):
-        word = format(code, f"0{n}b").translate(_DECODE) if n else ""
-        total += is_prefix_normal(word)
-    return total
 
 
 @dataclass(frozen=True)
@@ -245,28 +238,25 @@ def counts_table(max_n: int, what: str = "both",
 # ---------------------------------------------------------------------------
 # Class census
 
-def _pnf_codes(n: int, start: int, stop: int) -> np.ndarray:
+def _pnf_codes(n: int, start: int, stop: int):
     """Packed normal forms of the words with codes start..stop-1.
 
     Word code: a = 0, b = 1, first symbol in the most significant bit, so
     integer order is lexicographic order.  The returned array holds the
     same packing of each word's prefix normal form.
     """
+    import numpy as np
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     bits = (np.arange(start, stop, dtype=np.int64)[:, None] >> shifts) & 1
-    a_runs = np.cumsum(1 - bits, axis=1, dtype=np.int32)
-    prefix = np.concatenate(
-        [np.zeros((stop - start, 1), dtype=np.int32), a_runs], axis=1)
-    fmax = np.empty((stop - start, n), dtype=np.int32)
-    for k in range(1, n + 1):
-        np.max(prefix[:, k:] - prefix[:, :n - k + 1], axis=1,
-               out=fmax[:, k - 1])
-    steps = np.diff(fmax, axis=1, prepend=0)
+    prefix = np.zeros((stop - start, n + 1), dtype=np.int32)
+    np.cumsum(1 - bits, axis=1, dtype=np.int32, out=prefix[:, 1:])
+    steps = np.diff(window_max(prefix), axis=1)
     return (1 - steps).astype(np.int64) @ (np.int64(1) << shifts)
 
 
-def _census_chunk(n: int, start: int, stop: int) -> dict[int, int]:
-    uniq, cnt = np.unique(_pnf_codes(n, start, stop), return_counts=True)
+def _census_chunk(n: int, bounds: tuple[int, int]) -> dict[int, int]:
+    import numpy as np
+    uniq, cnt = np.unique(_pnf_codes(n, *bounds), return_counts=True)
     return dict(zip(uniq.tolist(), cnt.tolist()))
 
 
@@ -319,23 +309,14 @@ def class_census(n: int, bound: int = DEFAULT_CENSUS_BOUND,
                  jobs: int = 1) -> ClassCensus:
     """Group all 2^n words of length ``n`` by prefix normal form."""
     _check_census_args(n, bound)
+    _check_jobs(jobs)
     if n == 0:
         return ClassCensus(0, {"": 1}, 1)
     acc: dict[int, int] = {}
-
-    def merge(part: dict[int, int]) -> None:
+    for part in _map_tasks(partial(_census_chunk, n), _chunk_ranges(n),
+                           jobs):
         for code, cnt in part.items():
             acc[code] = acc.get(code, 0) + cnt
-
-    ranges = _chunk_ranges(n)
-    if jobs <= 1 or len(ranges) < 2:
-        for lo, hi in ranges:
-            merge(_census_chunk(n, lo, hi))
-    else:
-        los, his = zip(*ranges)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(partial(_census_chunk, n), los, his):
-                merge(part)
     return ClassCensus(
         n, {_decode(code, n): acc[code] for code in sorted(acc)}, 1 << n)
 
@@ -361,7 +342,7 @@ def class_members(pnf: str, bound: int = DEFAULT_CENSUS_BOUND) -> list[str]:
     members = []
     for lo, hi in _chunk_ranges(n):
         codes = _pnf_codes(n, lo, hi)
-        for word_code in np.nonzero(codes == target)[0]:
+        for word_code in (codes == target).nonzero()[0]:
             members.append(_decode(lo + int(word_code), n))
     return members
 

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import census, geometry, jpm, lyndon, pnf, profiles
-from .words import ParseError, parse_word
+from .words import complement_counts, parse_word
 
 
 def _read_words(arg: str, alphabet: str) -> list[str]:
@@ -71,16 +71,15 @@ def cmd_test(args) -> int:
 
 def cmd_profiles(args) -> int:
     for w in _read_words(args.word, args.alphabet):
-        max_a = profiles.max_a_profile(w).values
-        max_b = profiles.max_b_profile(w).values
-        min_a = profiles.min_a_profile(w).values
+        max_a, min_a = profiles.a_count_bounds(w)
+        max_b = complement_counts(min_a)
         if args.format == "json":
-            print(json.dumps({"n": len(w), "Fa": list(max_a),
-                              "Fb": list(max_b), "fa": list(min_a)}))
+            print(json.dumps({"n": len(w), "Fa": max_a, "Fb": max_b,
+                              "fa": min_a}))
         else:
             ks = list(range(len(w) + 1))
-            print(_columns_table([("k", ks), ("F_a", list(max_a)),
-                                  ("F_b", list(max_b))]))
+            print(_columns_table([("k", ks), ("F_a", max_a),
+                                  ("F_b", max_b)]))
     return 0
 
 
@@ -301,10 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .profiles import max_a_profile, min_a_profile
-from .words import ParikhVector
+from .profiles import a_count_bounds
+from .words import ParikhVector, prefix_counts
 
 RENDER_BOUND = 10_000
 
@@ -32,12 +32,7 @@ _STYLE_AXIS = "stroke:#d0d0d0;stroke-width:1"
 
 def word_path(w: str) -> list[tuple[int, int]]:
     """Lattice points of the word's path, starting at the origin."""
-    points = [(0, 0)]
-    y = 0
-    for i, ch in enumerate(w, start=1):
-        y += 1 if ch == "a" else -1
-        points.append((i, y))
-    return points
+    return [(i, 2 * c - i) for i, c in enumerate(prefix_counts(w))]
 
 
 @dataclass(frozen=True)
@@ -86,8 +81,7 @@ class RegionProfile:
 
 def region(w: str) -> RegionProfile:
     """Factor region of ``w`` bounded by the two normal-form paths."""
-    max_a = max_a_profile(w).values
-    min_a = min_a_profile(w).values
+    max_a, min_a = a_count_bounds(w)
     return RegionProfile(
         upper=tuple(2 * v - k for k, v in enumerate(max_a)),
         lower=tuple(2 * v - k for k, v in enumerate(min_a)),
@@ -96,12 +90,10 @@ def region(w: str) -> RegionProfile:
 
 def region_csv(w: str) -> str:
     """CSV of the region: k, upper_y, lower_y, F_a, f_a."""
-    max_a = max_a_profile(w).values
-    min_a = min_a_profile(w).values
+    reg = region(w)
     lines = ["k,upper_y,lower_y,F_a,f_a"]
-    for k in range(len(w) + 1):
-        lines.append(f"{k},{2 * max_a[k] - k},{2 * min_a[k] - k},"
-                     f"{max_a[k]},{min_a[k]}")
+    for k, (hi, lo) in enumerate(zip(reg.upper, reg.lower)):
+        lines.append(f"{k},{hi},{lo},{(hi + k) // 2},{(lo + k) // 2}")
     return "\n".join(lines) + "\n"
 
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .pnf import PnfPair, build_pnf_a, build_pnf_b
-from .profiles import OnesProfile, max_a_profile, min_a_profile
-from .words import ParikhVector
+from .pnf import PnfPair
+from .profiles import OnesProfile, a_count_bounds
+from .words import ParikhVector, prefix_counts, word_from_counts
 
 INDEX_FORMAT_VERSION = 1
 
@@ -49,7 +49,9 @@ class JumbledIndex:
 
 def build_index(w: str) -> JumbledIndex:
     """Index ``w`` for Parikh-vector occurrence queries."""
-    return JumbledIndex(len(w), max_a_profile(w), min_a_profile(w))
+    max_a, min_a = a_count_bounds(w)
+    return JumbledIndex(len(w), OnesProfile("max-a", tuple(max_a)),
+                        OnesProfile("min-a", tuple(min_a)))
 
 
 def query(ix: JumbledIndex, q: tuple[int, int]) -> bool:
@@ -80,40 +82,31 @@ def index_from_pnf(p: PnfPair) -> JumbledIndex:
         raise ValueError(
             f"inconsistent pair: {a_total} a's plus {b_total} b's "
             f"cannot make a word of length {n}")
-    max_vals = [0] * (n + 1)
-    min_vals = [0] * (n + 1)
-    for k in range(1, n + 1):
-        max_vals[k] = max_vals[k - 1] + (p.pnf_a[k - 1] == "a")
-        # b-side prefix counts give the max-b profile; k minus it is min-a.
-        min_vals[k] = min_vals[k - 1] + (p.pnf_b[k - 1] == "a")
-    return JumbledIndex(n, OnesProfile("max-a", tuple(max_vals)),
-                        OnesProfile("min-a", tuple(min_vals)))
+    # The b-side form has its a's where min-a steps up.
+    max_a, min_a = prefix_counts(p.pnf_a), prefix_counts(p.pnf_b)
+    return JumbledIndex(n, OnesProfile("max-a", tuple(max_a)),
+                        OnesProfile("min-a", tuple(min_a)))
 
 
 def pnf_from_index(ix: JumbledIndex) -> PnfPair:
-    """Read both prefix normal forms off the index in one O(n) pass.
+    """Read both prefix normal forms off the index.
 
     The a-side form puts an a at every step of max_a; the b-side form puts
     a b at every step of the b-count profile k - min_a[k].  Exact inverse
-    of index_from_pnf.
+    of index_from_pnf.  The pair is checked, as an index may come from a
+    file.
     """
-    a_side = []
-    b_side = []
-    for k in range(1, ix.n + 1):
-        a_side.append("a" if ix.max_a[k] > ix.max_a[k - 1] else "b")
-        b_up = (k - ix.min_a[k]) > (k - 1 - ix.min_a[k - 1])
-        b_side.append("b" if b_up else "a")
-    return PnfPair("".join(a_side), "".join(b_side))
+    return PnfPair(word_from_counts(ix.max_a.values),
+                   word_from_counts(ix.min_a.values))
 
 
 def parikh_set_equal(w: str, w2: str) -> bool:
     """Do ``w`` and ``w2`` have the same set of factor Parikh vectors?
 
-    Equivalent to both prefix normal forms coinciding; no factor
-    enumeration happens.
+    Equivalent to both prefix normal forms, that is both indexes,
+    coinciding; no factor enumeration happens.
     """
-    return (build_pnf_a(w) == build_pnf_a(w2)
-            and build_pnf_b(w) == build_pnf_b(w2))
+    return a_count_bounds(w) == a_count_bounds(w2)
 
 
 def parikh_set_oracle(w: str, bound: int = DEFAULT_ORACLE_BOUND) -> set[ParikhVector]:
@@ -125,9 +118,7 @@ def parikh_set_oracle(w: str, bound: int = DEFAULT_ORACLE_BOUND) -> set[ParikhVe
     n = len(w)
     if n > bound:
         raise ValueError(f"word length {n} exceeds oracle bound {bound}")
-    pref = [0] * (n + 1)
-    for i, ch in enumerate(w):
-        pref[i + 1] = pref[i] + (ch == "a")
+    pref = prefix_counts(w)
     vectors = {ParikhVector(0, 0)}
     for start in range(n):
         for end in range(start + 1, n + 1):
@@ -156,7 +147,8 @@ def index_from_json(text: str) -> JumbledIndex:
     if not isinstance(doc, dict):
         raise ValueError("index document must be a JSON object")
     version = doc.get("version")
-    if version != INDEX_FORMAT_VERSION:
+    # type() rejects JSON true and false, which isinstance counts as ints
+    if type(version) is not int or version != INDEX_FORMAT_VERSION:
         raise ValueError(f"unsupported index version {version!r}")
     try:
         n = doc["n"]
@@ -164,9 +156,10 @@ def index_from_json(text: str) -> JumbledIndex:
         min_vals = doc["minA"]
     except KeyError as exc:
         raise ValueError(f"index document missing field {exc}") from exc
-    if not (isinstance(n, int)
-            and all(isinstance(v, int) for v in max_vals)
-            and all(isinstance(v, int) for v in min_vals)):
-        raise ValueError("index fields must be integers")
+    if not (type(n) is int and type(max_vals) is list
+            and type(min_vals) is list
+            and all(type(v) is int for v in max_vals + min_vals)):
+        raise ValueError("index fields must be an integer n and integer "
+                         "lists maxA and minA")
     return JumbledIndex(n, OnesProfile("max-a", tuple(max_vals)),
                         OnesProfile("min-a", tuple(min_vals)))

@@ -58,17 +58,6 @@ def is_necklace(w: str) -> bool:
     return p > 0 and len(w) % p == 0
 
 
-def lyndon_completion_check(w: str) -> bool:
-    """Whether w·b^len(w) is a Lyndon word.
-
-    Requires at least one a in ``w``.  Guaranteed true when ``w`` is prefix
-    normal; for other words the outcome carries no contract.
-    """
-    if "a" not in w:
-        raise ValueError("word must contain at least one 'a'")
-    return is_lyndon(w + "b" * len(w))
-
-
 @dataclass(frozen=True)
 class WordClass:
     """The four classification bits of one word.

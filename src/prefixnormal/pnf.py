@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .profiles import max_a_profile
-from .words import a_positions, complement, prefix_count
+from .profiles import a_count_bounds, max_a_profile, window_max
+from .words import (a_positions, complement, complement_counts, prefix_counts,
+                    word_from_counts)
 
 
 def build_pnf_a(w: str) -> str:
@@ -32,10 +33,7 @@ def build_pnf_a(w: str) -> str:
     Reads the max-a profile and places an a exactly where it steps up.
     The result is the unique prefix normal word sharing w's profile.
     """
-    values = max_a_profile(w).values
-    return "".join(
-        "a" if values[k] > values[k - 1] else "b"
-        for k in range(1, len(values)))
+    return word_from_counts(max_a_profile(w).values)
 
 
 def build_pnf_b(w: str) -> str:
@@ -48,7 +46,7 @@ class PnfPair:
     """Both prefix normal forms of one source word.
 
     Validates that the components have equal length and are prefix normal
-    on their respective sides.
+    on their respective sides (one kernel call).
     """
 
     pnf_a: str
@@ -59,10 +57,20 @@ class PnfPair:
             raise ValueError(
                 f"component lengths differ: {len(self.pnf_a)} vs "
                 f"{len(self.pnf_b)}")
-        if not is_prefix_normal(self.pnf_a):
+        a_counts = prefix_counts(self.pnf_a)
+        b_counts = complement_counts(prefix_counts(self.pnf_b))
+        max_a, max_b = window_max([a_counts, b_counts])
+        if max_a != a_counts:
             raise ValueError(f"{self.pnf_a!r} is not prefix normal (a-side)")
-        if not is_prefix_normal(complement(self.pnf_b)):
+        if max_b != b_counts:
             raise ValueError(f"{self.pnf_b!r} is not prefix normal (b-side)")
+
+    @classmethod
+    def _trusted(cls, pnf_a: str, pnf_b: str) -> PnfPair:
+        """A pair known to be valid, built without re-checking it."""
+        pair = object.__new__(cls)
+        pair.__dict__.update(pnf_a=pnf_a, pnf_b=pnf_b)
+        return pair
 
     @property
     def source_length(self) -> int:
@@ -70,18 +78,10 @@ class PnfPair:
 
 
 def pnf_pair(w: str) -> PnfPair:
-    """Both normal forms of ``w`` as a validated pair."""
-    return PnfPair(build_pnf_a(w), build_pnf_b(w))
-
-
-def _is_normal_by_profile(w: str) -> bool:
-    values = max_a_profile(w).values
-    count = 0
-    for k in range(1, len(w) + 1):
-        count += w[k - 1] == "a"
-        if values[k] != count:
-            return False
-    return True
+    """Both normal forms of ``w`` from one kernel call; prefix normal by
+    construction, so the pair skips PnfPair's check."""
+    max_a, min_a = a_count_bounds(w)
+    return PnfPair._trusted(word_from_counts(max_a), word_from_counts(min_a))
 
 
 def _is_normal_by_positions(w: str) -> bool:
@@ -105,7 +105,7 @@ def _is_normal_by_scan(w: str) -> bool:
 
 
 _METHODS = {
-    "profile": _is_normal_by_profile,
+    "profile": lambda w: normality_witness(w) is None,
     "positions": _is_normal_by_positions,
     "scan": _is_normal_by_scan,
 }
@@ -127,47 +127,6 @@ def is_prefix_normal(w: str, method: str = "profile") -> bool:
     return impl(w)
 
 
-def check_prefix_subadditivity(w: str) -> bool:
-    """P(j) - P(i) <= P(j-i) for all 0 <= i <= j, over prefix a-counts.
-
-    Holds exactly on prefix normal words; a cross-check predicate.
-    """
-    n = len(w)
-    p = [0] * (n + 1)
-    for i, ch in enumerate(w):
-        p[i + 1] = p[i] + (ch == "a")
-    return all(
-        p[j] - p[i] <= p[j - i]
-        for j in range(n + 1) for i in range(j + 1))
-
-
-def check_factor_select_bound(w: str) -> bool:
-    """Every factor containing i >= 1 a's spans at least pos(i) positions,
-    where pos(i) is the position of the i-th a.
-
-    Holds exactly on prefix normal words; a cross-check predicate.
-    """
-    pos = a_positions(w)
-    n = len(w)
-    p = [0] * (n + 1)
-    for i, ch in enumerate(w):
-        p[i + 1] = p[i] + (ch == "a")
-    for start in range(n):
-        for end in range(start + 1, n + 1):
-            i = p[end] - p[start]
-            if i >= 1 and end - start < pos[i - 1]:
-                return False
-    return True
-
-
-def _suffix_a_counts(w: str) -> list[int]:
-    """counts[k] = number of a's in the suffix of length k, k = 0..len(w)."""
-    counts = [0] * (len(w) + 1)
-    for k, ch in enumerate(reversed(w), start=1):
-        counts[k] = counts[k - 1] + (ch == "a")
-    return counts
-
-
 def can_extend_with_a(w: str, validate: bool = False) -> bool:
     """For prefix normal ``w``, decide whether w·a is prefix normal.
 
@@ -178,13 +137,9 @@ def can_extend_with_a(w: str, validate: bool = False) -> bool:
     """
     if validate and not is_prefix_normal(w):
         raise ValueError(f"{w!r} is not prefix normal")
-    suffix = _suffix_a_counts(w)
-    count = 0
-    for k in range(len(w)):
-        count += w[k] == "a"
-        if suffix[k] >= count:
-            return False
-    return True
+    prefix = prefix_counts(w)
+    suffix = prefix_counts(w[::-1])
+    return all(suffix[k] < prefix[k + 1] for k in range(len(w)))
 
 
 class PrefixNormalTester:
@@ -230,14 +185,13 @@ class PrefixNormalTester:
 def normality_witness(w: str) -> str | None:
     """A factor with more a's than the same-length prefix, or None.
 
-    Among violating factors the shortest wins, ties broken leftmost.
+    Among violating factors the shortest wins, ties broken leftmost: k is
+    the first length where max-a exceeds the prefix count.
     """
-    n = len(w)
-    p = [0] * (n + 1)
-    for i, ch in enumerate(w):
-        p[i + 1] = p[i] + (ch == "a")
-    for k in range(1, n + 1):
-        for start in range(n - k + 1):
-            if p[start + k] - p[start] > p[k]:
-                return w[start:start + k]
-    return None
+    p = prefix_counts(w)
+    (max_a,) = window_max([p])
+    if max_a == p:
+        return None
+    k = next(k for k in range(1, len(w) + 1) if max_a[k] > p[k])
+    start = next(s for s in range(len(w) - k + 1) if p[s + k] - p[s] > p[k])
+    return w[start:start + k]

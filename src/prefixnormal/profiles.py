@@ -6,17 +6,18 @@ maximum for b (max-b), and the minimum number of a's (min-a).  A profile is
 stored as the plain integer array values[0..n] so downstream consumers can
 answer length-indexed questions with one array read.
 
-The computation is the straightforward per-length sliding window: O(n) per
-window length via prefix counts, O(n^2) overall.  Long words take the
-vectorized route over the same windows; the per-word cost at n = 500 is
-about a millisecond.
+All come from one kernel: the per-length sliding window over prefix
+counts, O(n^2) overall, run on a batch of count rows.  A word's a- and
+b-counts are a batch of two, a census chunk a batch of 2^16 words.  Long
+words and batches take the vectorized route over the same windows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
-import numpy as np
+from .words import complement, complement_counts, prefix_counts
 
 # Below this length the plain-Python slide beats numpy's per-call overhead.
 _VECTOR_CUTOFF = 64
@@ -59,28 +60,36 @@ class OnesProfile:
         return self.values[k]
 
 
-def _window_max_counts(w: str, symbol: str) -> list[int]:
-    """values[k] = max count of ``symbol`` over all length-k windows of w."""
-    n = len(w)
-    pref = [0] * (n + 1)
-    for i, ch in enumerate(w):
-        pref[i + 1] = pref[i] + (ch == symbol)
-    values = [0] * (n + 1)
-    if n == 0:
-        return values
-    if n < _VECTOR_CUTOFF:
-        for k in range(1, n + 1):
-            values[k] = max(pref[j + k] - pref[j] for j in range(n - k + 1))
-    else:
-        p = np.asarray(pref, dtype=np.int64)
-        for k in range(1, n + 1):
-            values[k] = int((p[k:] - p[:n - k + 1]).max())
-    return values
+def window_max(rows):
+    """out[r][k] = max over j of rows[r][j + k] - rows[r][j], k = 0..n.
+
+    ``rows`` are prefix-count rows of length n + 1: a list of lists (the
+    rows of one word; the result is lists of ints) or an (m, n + 1) integer array (the
+    result is an int32 array).
+    """
+    n = len(rows[0]) - 1
+    if isinstance(rows, list) and n < _VECTOR_CUTOFF:
+        return [[0, *(max(map(sub, p[k:], p)) for k in range(1, n + 1))]
+                for p in rows]
+    import numpy as np
+    p = np.asarray(rows, dtype=np.int32)
+    out = np.zeros_like(p)
+    for k in range(1, n + 1):
+        out[:, k] = (p[:, k:] - p[:, :n - k + 1]).max(axis=1)
+    return out.tolist() if isinstance(rows, list) else out
+
+
+def a_count_bounds(w: str) -> tuple[list[int], list[int]]:
+    """The max-a and min-a values of ``w`` from one kernel call."""
+    counts = prefix_counts(w)
+    max_a, max_b = window_max([counts, complement_counts(counts)])
+    return max_a, complement_counts(max_b)
 
 
 def max_a_profile(w: str) -> OnesProfile:
     """Maximum number of a's in a factor, for every factor length."""
-    return OnesProfile("max-a", tuple(_window_max_counts(w, "a")))
+    (values,) = window_max([prefix_counts(w)])
+    return OnesProfile("max-a", tuple(values))
 
 
 def max_b_profile(w: str) -> OnesProfile:
@@ -88,7 +97,7 @@ def max_b_profile(w: str) -> OnesProfile:
 
     Equals the max-a profile of the complement word.
     """
-    return OnesProfile("max-b", tuple(_window_max_counts(w, "b")))
+    return OnesProfile("max-b", max_a_profile(complement(w)).values)
 
 
 def min_a_profile(w: str) -> OnesProfile:
@@ -97,5 +106,5 @@ def min_a_profile(w: str) -> OnesProfile:
     A window of length k holding the most b's holds the fewest a's, so
     values[k] = k - max_b[k].
     """
-    max_b = _window_max_counts(w, "b")
-    return OnesProfile("min-a", tuple(k - v for k, v in enumerate(max_b)))
+    return OnesProfile("min-a",
+                       tuple(complement_counts(max_b_profile(w).values)))

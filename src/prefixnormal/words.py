@@ -9,6 +9,8 @@ over immutable values.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import accumulate
 from typing import NamedTuple
 
 ALPHABET = "ab"
@@ -72,6 +74,27 @@ def parikh(w: str) -> ParikhVector:
     """Parikh vector of ``w``: (number of a's, number of b's)."""
     a = w.count("a")
     return ParikhVector(a, len(w) - a)
+
+
+def prefix_counts(w: str) -> list[int]:
+    """counts[i] = number of a's in the first ``i`` symbols, i = 0..len(w).
+
+    Raises ParseError at the first symbol other than a or b.
+    """
+    if w.count("a") + w.count("b") != len(w):
+        parse_word(w)  # raises ParseError at the first foreign symbol
+    return list(accumulate((ch == "a" for ch in w), initial=0))
+
+
+def complement_counts(counts: Sequence[int]) -> list[int]:
+    """k - counts[k] for every k: a-counts to b-counts, max-b to min-a."""
+    return [k - v for k, v in enumerate(counts)]
+
+
+def word_from_counts(counts: Sequence[int]) -> str:
+    """The word with prefix a-counts ``counts``: inverse of prefix_counts."""
+    return "".join("a" if counts[k] > counts[k - 1] else "b"
+                   for k in range(1, len(counts)))
 
 
 def prefix_count(w: str, i: int) -> int:

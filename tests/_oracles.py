@@ -2,12 +2,17 @@
 
 Everything here works by explicit factor enumeration over string slices or
 by rotation comparison, deliberately avoiding the algorithms under test.
+The cross-check predicates at the end restate prefix normality in other
+terms, and the filter count and Lyndon completion check run the library's
+own predicates over every word.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import product
+
+from prefixnormal import is_lyndon, is_prefix_normal
 
 
 def words_of_length(n: int):
@@ -87,3 +92,57 @@ def brute_pre_necklaces(max_n: int) -> set[str]:
 
 def random_word(rng: random.Random, length: int) -> str:
     return "".join(rng.choice("ab") for _ in range(length))
+
+
+def _a_counts(w: str) -> list[int]:
+    p = [0] * (len(w) + 1)
+    for i, ch in enumerate(w):
+        p[i + 1] = p[i] + (ch == "a")
+    return p
+
+
+def check_prefix_subadditivity(w: str) -> bool:
+    """P(j) - P(i) <= P(j-i) for all 0 <= i <= j, over prefix a-counts.
+
+    Holds exactly on prefix normal words; a cross-check predicate.
+    """
+    n = len(w)
+    p = _a_counts(w)
+    return all(
+        p[j] - p[i] <= p[j - i]
+        for j in range(n + 1) for i in range(j + 1))
+
+
+def check_factor_select_bound(w: str) -> bool:
+    """Every factor containing i >= 1 a's spans at least pos(i) positions,
+    where pos(i) is the position of the i-th a.
+
+    Holds exactly on prefix normal words; a cross-check predicate.
+    """
+    pos = [i + 1 for i, ch in enumerate(w) if ch == "a"]
+    n = len(w)
+    p = _a_counts(w)
+    for start in range(n):
+        for end in range(start + 1, n + 1):
+            i = p[end] - p[start]
+            if i >= 1 and end - start < pos[i - 1]:
+                return False
+    return True
+
+
+def count_prefix_normal_by_filter(n: int) -> int:
+    """Counting by filter: test all 2^n words one by one."""
+    if n < 0:
+        raise ValueError("length must be non-negative")
+    return sum(is_prefix_normal(w) for w in words_of_length(n))
+
+
+def lyndon_completion_check(w: str) -> bool:
+    """Whether w·b^len(w) is a Lyndon word.
+
+    Requires at least one a in ``w``.  Guaranteed true when ``w`` is prefix
+    normal; for other words the outcome carries no contract.
+    """
+    if "a" not in w:
+        raise ValueError("word must contain at least one 'a'")
+    return is_lyndon(w + "b" * len(w))

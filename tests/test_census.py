@@ -3,13 +3,15 @@ import pytest
 from prefixnormal import (ClassCensus, CountsRow, TableExpectations,
                           build_pnf_a, class_census, class_members,
                           count_pre_necklaces, count_prefix_normal,
-                          count_prefix_normal_by_filter, counts_table,
+                          counts_table,
                           is_prefix_normal, iter_pre_necklaces,
                           iter_prefix_normal, max_class_size, reverse,
                           verify_tables)
+from prefixnormal import census
 from prefixnormal.census import CLASS_SIZES_N4, CLASS_SIZES_N8
 
-from _oracles import brute_pre_necklaces, words_of_length
+from _oracles import (brute_pre_necklaces, count_prefix_normal_by_filter,
+                      words_of_length)
 
 
 def test_count_prefix_normal_examples():
@@ -181,3 +183,42 @@ def test_verify_tables_flags_tampered_cells():
     assert not report.all_ok
     failed = {c.label for c in report.failures}
     assert failed == {"prefix-normal count n=8", "class size n=4 aabb"}
+
+
+def test_jobs_clamped_to_cpus_and_tasks(monkeypatch):
+    # a stub pool records its size and runs the tasks here, so no worker
+    # process starts
+    sizes = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+    assert count_prefix_normal(14, jobs=1000) == 2279
+    assert sizes == [3]                      # cpu count: 697 root tasks
+    assert class_census(17, jobs=1000).classes == class_census(17).classes
+    assert sizes == [3, 2]                   # task count: 2 chunks
+    monkeypatch.setattr(census.os, "cpu_count", lambda: None)
+    assert count_pre_necklaces(14, jobs=8) == 2538
+    assert sizes == [3, 2]                   # unknown cpu count: serial
+
+
+@pytest.mark.parametrize("jobs", [0, -5])
+def test_jobs_below_one_rejected(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        count_prefix_normal(4, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs"):
+        class_census(4, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs"):
+        verify_tables(max_n=2, jobs=jobs)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import prefixnormal
 from prefixnormal.cli import main
 
 EXAMPLE_WORD = "ababbaabaabbbaaabbab"
@@ -218,3 +223,40 @@ def test_determinism(capsys):
     first = run(capsys, "region", EXAMPLE_WORD)
     second = run(capsys, "region", EXAMPLE_WORD)
     assert first == second
+
+
+def test_index_with_wrong_field_types_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    for doc in ('{"version": 1, "n": 1, "maxA": 5, "minA": [0, 0]}',
+                '{"version": 1, "n": true, "maxA": [0, 1], "minA": [0, 0]}'):
+        bad.write_text(doc)
+        for argv in (["index", "query", str(bad), "1", "0"],
+                     ["index", "pnf", str(bad)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--max-n", "4", "--jobs", "0"],
+    ["enumerate", "--max-n", "16", "--jobs", "-5"],
+    ["classes", "--n", "4", "--jobs", "-5"],
+    ["verify-tables", "--max-n", "2", "--jobs", "0"],
+])
+def test_jobs_below_one_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_short_commands_leave_numpy_unloaded():
+    src = str(Path(prefixnormal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = ("import sys, prefixnormal.cli as cli\n"
+              "assert cli.main(['pnf', 'ab']) == 0\n"
+              "assert cli.main(['enumerate', '--max-n', '1']) == 0\n"
+              "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -179,3 +179,17 @@ def test_json_rejects_malformed():
     with pytest.raises(ValueError):
         index_from_json('{"version": 1, "n": 1, "maxA": [0, 2],'
                         ' "minA": [0, 0]}')
+
+
+@pytest.mark.parametrize("fields", [
+    '"version": 1, "n": 1, "maxA": 5, "minA": [0, 0]',
+    '"version": 1, "n": 1, "maxA": [0, 1], "minA": "00"',
+    '"version": 1, "n": true, "maxA": [0, 1], "minA": [0, 0]',
+    '"version": 1, "n": 1.0, "maxA": [0, 1], "minA": [0, 0]',
+    '"version": 1, "n": 1, "maxA": [0, true], "minA": [0, false]',
+    '"version": 1, "n": 1, "maxA": [0, 1], "minA": null',
+    '"version": true, "n": 0, "maxA": [0], "minA": [0]',
+])
+def test_json_rejects_wrong_field_types(fields):
+    with pytest.raises(ValueError):
+        index_from_json("{" + fields + "}")

@@ -1,11 +1,11 @@
 import pytest
 
 from prefixnormal import (WordClass, classify, is_lyndon, is_necklace,
-                          is_pre_necklace, is_prefix_normal,
-                          lyndon_completion_check)
+                          is_pre_necklace, is_prefix_normal)
 
 from _oracles import (brute_is_lyndon, brute_is_prefix_normal,
-                      brute_pre_necklaces, words_of_length, words_up_to)
+                      brute_pre_necklaces, lyndon_completion_check,
+                      words_of_length, words_up_to)
 
 
 def test_is_lyndon_examples():

@@ -6,10 +6,8 @@ from prefixnormal import (PnfPair, PrefixNormalTester, build_pnf_a,
                           build_pnf_b, can_extend_with_a, is_prefix_normal,
                           max_a_profile, normality_witness, pnf_pair,
                           prefix_count, reverse)
-from prefixnormal.pnf import (check_factor_select_bound,
-                              check_prefix_subadditivity)
-
 from _oracles import (brute_is_prefix_normal, brute_normality_witness,
+                      check_factor_select_bound, check_prefix_subadditivity,
                       random_word, words_up_to)
 
 EXAMPLE_WORD = "ababbaabaabbbaaabbab"

@@ -1,9 +1,13 @@
+import io
 import random
 
 import pytest
 
-from prefixnormal import (OnesProfile, max_a_profile, max_b_profile,
-                          min_a_profile, reverse)
+from prefixnormal import (OnesProfile, PnfPair, build_index, build_pnf_a,
+                          census, class_census, cli, geometry, is_prefix_normal,
+                          jpm, max_a_profile, max_b_profile, min_a_profile,
+                          normality_witness, pnf, pnf_from_index, pnf_pair,
+                          profiles, region, region_csv, reverse)
 
 from _oracles import (brute_max_profile, brute_min_a_profile, random_word,
                       words_up_to)
@@ -107,3 +111,39 @@ def test_profile_validation_rejects_bad_arrays():
         OnesProfile("max-a", (0, 1, 0))
     with pytest.raises(ValueError):
         OnesProfile("median", (0, 1))
+
+
+def test_one_kernel_call_per_word_and_per_chunk(monkeypatch, capsys):
+    calls = []
+    kernel = profiles.window_max
+
+    def counted(rows):
+        calls.append(len(rows))
+        return kernel(rows)
+
+    for module in (census, cli, geometry, jpm, pnf, profiles):
+        if hasattr(module, "window_max"):
+            monkeypatch.setattr(module, "window_max", counted)
+
+    def kernel_calls(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    long_word = random_word(random.Random(2205), 300)
+    for w in (EXAMPLE_WORD, long_word, build_pnf_a(long_word)):
+        pair = pnf_pair(w)
+        ix = build_index(w)
+        for fn, args in ((pnf_pair, (w,)), (build_index, (w,)),
+                         (PnfPair, (pair.pnf_a, pair.pnf_b)),
+                         (pnf_from_index, (ix,)), (region, (w,)),
+                         (region_csv, (w,)), (normality_witness, (w,)),
+                         (is_prefix_normal, (w,))):
+            assert kernel_calls(fn, *args) == 1, (fn.__name__, len(w))
+
+    words = [EXAMPLE_WORD, long_word, "ab"]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(words) + "\n"))
+    assert kernel_calls(cli.main, ["profiles", "-"]) == len(words)
+    capsys.readouterr()
+
+    assert kernel_calls(class_census, 17) == len(census._chunk_ranges(17))

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from prefixnormal import (ParikhVector, ParseError, complement, parikh,
-                          parse_word, pos_a, prefix_count, reverse)
+from prefixnormal import (ParikhVector, ParseError, build_index, build_pnf_a,
+                          complement, is_prefix_normal, normality_witness,
+                          parikh, parse_word, pnf_pair, pos_a, prefix_count,
+                          prefix_counts, region, reverse)
 
 from _oracles import random_word, words_up_to
 
@@ -112,3 +114,22 @@ def test_parikh_under_reverse_and_complement():
         assert parikh(reverse(w)) == parikh(w)
         a, b = parikh(w)
         assert parikh(complement(w)) == (b, a)
+
+
+def test_prefix_counts_matches_rank():
+    assert prefix_counts("") == [0]
+    assert prefix_counts("abba") == [0, 1, 1, 1, 2]
+    for w in words_up_to(6):
+        assert prefix_counts(w) == [prefix_count(w, i)
+                                    for i in range(len(w) + 1)]
+
+
+@pytest.mark.parametrize("fn", [prefix_counts, build_pnf_a, pnf_pair,
+                                build_index, region, normality_witness,
+                                is_prefix_normal])
+def test_foreign_symbols_are_rejected(fn):
+    # no symbol other than a is silently read as b
+    for text, position in (("abc", 3), ("xyz", 1), ("ab" * 40 + "A", 81)):
+        with pytest.raises(ParseError) as info:
+            fn(text)
+        assert info.value.position == position
