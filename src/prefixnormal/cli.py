@@ -2,7 +2,9 @@
 
 Exit codes: 0 for success and positive verdicts, 1 for negative verdicts
 (not-normal, absent, failed verification), 2 for usage errors.  Word
-arguments accept ``-`` to read words from stdin, one per line.  Output is
+arguments accept ``-`` to read words from stdin, one per line; each line's
+output is written before the next line is read, and a line that does not
+parse is reported on stderr while the batch goes on (exit 2).  Output is
 deterministic: identical invocations print identical bytes.
 """
 
@@ -13,18 +15,33 @@ import json
 import sys
 
 from . import census, geometry, jpm, lyndon, pnf, profiles
-from .words import complement_counts, parse_word
+from .words import ParseError, complement_counts, parse_word
 
 
-def _read_words(arg: str, alphabet: str) -> list[str]:
-    if arg != "-":
-        return [parse_word(arg, alphabet)]
-    words = []
-    for line in sys.stdin:
+def _each_word(args, handle) -> int:
+    """Apply ``handle`` to the word argument or, for ``-``, to each stdin
+    line as it is read, writing each line's output before reading the next.
+
+    A stdin line that does not parse writes ``error: line N: <message>``
+    to stderr and the batch goes on.  Returns 2 if any line failed, else
+    the largest verdict ``handle`` returned.
+    """
+    if args.word != "-":
+        return handle(parse_word(args.word, args.alphabet))
+    verdict, failed = 0, False
+    for lineno, line in enumerate(sys.stdin, 1):
         line = line.strip()
-        if line:
-            words.append(parse_word(line, alphabet))
-    return words
+        if not line:
+            continue
+        try:
+            w = parse_word(line, args.alphabet)
+        except ParseError as exc:
+            print(f"error: line {lineno}: {exc}", file=sys.stderr)
+            failed = True
+            continue
+        verdict = max(verdict, handle(w))
+        sys.stdout.flush()
+    return 2 if failed else verdict
 
 
 def _columns_table(rows: list[tuple[str, list[object]]]) -> str:
@@ -41,7 +58,7 @@ def _columns_table(rows: list[tuple[str, list[object]]]) -> str:
 
 
 def cmd_pnf(args) -> int:
-    for w in _read_words(args.word, args.alphabet):
+    def one(w: str) -> int:
         pair = pnf.pnf_pair(w)
         if args.format == "json":
             print(json.dumps({"word": w, "pnfA": pair.pnf_a,
@@ -49,12 +66,12 @@ def cmd_pnf(args) -> int:
         else:
             print(f"PNF_a: {pair.pnf_a}")
             print(f"PNF_b: {pair.pnf_b}")
-    return 0
+        return 0
+    return _each_word(args, one)
 
 
 def cmd_test(args) -> int:
-    worst = 0
-    for w in _read_words(args.word, args.alphabet):
+    def one(w: str) -> int:
         witness = pnf.normality_witness(w)
         if args.format == "json":
             print(json.dumps({"word": w, "normal": witness is None,
@@ -64,13 +81,12 @@ def cmd_test(args) -> int:
         else:
             print("not-normal")
             print(f"witness: {witness}")
-        if witness is not None:
-            worst = 1
-    return worst
+        return 0 if witness is None else 1
+    return _each_word(args, one)
 
 
 def cmd_profiles(args) -> int:
-    for w in _read_words(args.word, args.alphabet):
+    def one(w: str) -> int:
         max_a, min_a = profiles.a_count_bounds(w)
         max_b = complement_counts(min_a)
         if args.format == "json":
@@ -80,7 +96,8 @@ def cmd_profiles(args) -> int:
             ks = list(range(len(w) + 1))
             print(_columns_table([("k", ks), ("F_a", max_a),
                                   ("F_b", max_b)]))
-    return 0
+        return 0
+    return _each_word(args, one)
 
 
 def cmd_query(args) -> int:
@@ -118,7 +135,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    for w in _read_words(args.word, args.alphabet):
+    def one(w: str) -> int:
         c = lyndon.classify(w)
         print(json.dumps({
             "is_lyndon": c.is_lyndon,
@@ -126,7 +143,8 @@ def cmd_classify(args) -> int:
             "is_pre_necklace": c.is_pre_necklace,
             "is_prefix_normal": c.is_prefix_normal,
         }))
-    return 0
+        return 0
+    return _each_word(args, one)
 
 
 def cmd_enumerate(args) -> int:
@@ -187,11 +205,12 @@ def cmd_classes(args) -> int:
 
 def cmd_region(args) -> int:
     w = parse_word(args.word, args.alphabet)
-    svg = geometry.render_svg(w, unit=args.unit,
-                              suffix_paths=args.suffix_paths)
+    geometry.check_render(len(w), args.unit)  # before the kernel runs
+    reg = geometry.region(w)
+    svg = reg.svg(w, unit=args.unit, suffix_paths=args.suffix_paths)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(geometry.region_csv(w))
+            fh.write(reg.csv())
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(svg)

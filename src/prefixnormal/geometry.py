@@ -78,6 +78,59 @@ class RegionProfile:
             raise ValueError(f"({x}, {y}) has odd parity, no Parikh vector")
         return ParikhVector((x + y) // 2, (x - y) // 2)
 
+    def csv(self) -> str:
+        """CSV of the region: k, upper_y, lower_y, F_a, f_a."""
+        lines = ["k,upper_y,lower_y,F_a,f_a"]
+        for k, (hi, lo) in enumerate(zip(self.upper, self.lower)):
+            lines.append(f"{k},{hi},{lo},{(hi + k) // 2},{(lo + k) // 2}")
+        return "\n".join(lines) + "\n"
+
+    def svg(self, w: str, unit: int = 16, suffix_paths: bool = False) -> str:
+        """Deterministic SVG of the word path and this region, which must
+        be the region of ``w``.
+
+        Draws the filled region polygon, the two boundary paths (the normal
+        forms), the word's own path, and optionally every suffix path.
+        """
+        n = len(w)
+        check_render(n, unit)
+        if n != self.n:
+            raise ValueError(f"word length {n} differs from region length "
+                             f"{self.n}")
+        pad = 1
+        y_hi = max(self.upper)
+        y_lo = min(self.lower)
+        width = (n + 2 * pad) * unit
+        height = (y_hi - y_lo + 2 * pad) * unit
+
+        def px(x: int, y: int) -> tuple[int, int]:
+            # y axis flipped: more a's renders upward
+            return (pad + x) * unit, (pad + y_hi - y) * unit
+
+        upper_pts = [px(k, y) for k, y in enumerate(self.upper)]
+        lower_pts = [px(k, y) for k, y in enumerate(self.lower)]
+        parts = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{height}" viewBox="0 0 {width} {height}">',
+        ]
+        polygon = " ".join(f"{x},{y}" for x, y in upper_pts + lower_pts[::-1])
+        parts.append(f'<polygon points="{polygon}" style="{_STYLE_REGION}"/>')
+        ax0, ay0 = px(0, 0)
+        ax1, _ = px(n, 0)
+        parts.append(f'<line x1="{ax0}" y1="{ay0}" x2="{ax1}" y2="{ay0}" '
+                     f'style="{_STYLE_AXIS}"/>')
+        if suffix_paths:
+            for start in range(1, n):
+                pts = [px(x, y) for x, y in word_path(w[start:])]
+                parts.append(_polyline(pts, _STYLE_SUFFIX))
+        parts.append(_polyline(upper_pts, _STYLE_UPPER))
+        parts.append(_polyline(lower_pts, _STYLE_LOWER))
+        parts.append(_polyline([px(x, y) for x, y in word_path(w)],
+                               _STYLE_WORD))
+        parts.append(f'<circle cx="{ax0}" cy="{ay0}" r="3" fill="#000000"/>')
+        parts.append("</svg>")
+        return "\n".join(parts) + "\n"
+
 
 def region(w: str) -> RegionProfile:
     """Factor region of ``w`` bounded by the two normal-form paths."""
@@ -90,11 +143,16 @@ def region(w: str) -> RegionProfile:
 
 def region_csv(w: str) -> str:
     """CSV of the region: k, upper_y, lower_y, F_a, f_a."""
-    reg = region(w)
-    lines = ["k,upper_y,lower_y,F_a,f_a"]
-    for k, (hi, lo) in enumerate(zip(reg.upper, reg.lower)):
-        lines.append(f"{k},{hi},{lo},{(hi + k) // 2},{(lo + k) // 2}")
-    return "\n".join(lines) + "\n"
+    return region(w).csv()
+
+
+def check_render(n: int, unit: int) -> None:
+    """Reject a word too long to render or a non-positive unit."""
+    if n > RENDER_BOUND:
+        raise ValueError(f"word length {n} exceeds render bound "
+                         f"{RENDER_BOUND}")
+    if unit < 1:
+        raise ValueError("unit must be a positive integer")
 
 
 def _polyline(points: list[tuple[int, int]], style: str) -> str:
@@ -103,47 +161,6 @@ def _polyline(points: list[tuple[int, int]], style: str) -> str:
 
 
 def render_svg(w: str, unit: int = 16, suffix_paths: bool = False) -> str:
-    """Deterministic SVG of the word path and its factor region.
-
-    Draws the filled region polygon, the two boundary paths (the normal
-    forms), the word's own path, and optionally every suffix path.
-    """
-    n = len(w)
-    if n > RENDER_BOUND:
-        raise ValueError(f"word length {n} exceeds render bound "
-                         f"{RENDER_BOUND}")
-    if unit < 1:
-        raise ValueError("unit must be a positive integer")
-    reg = region(w)
-    pad = 1
-    y_hi = max(reg.upper)
-    y_lo = min(reg.lower)
-    width = (n + 2 * pad) * unit
-    height = (y_hi - y_lo + 2 * pad) * unit
-
-    def px(x: int, y: int) -> tuple[int, int]:
-        # y axis flipped: more a's renders upward
-        return (pad + x) * unit, (pad + y_hi - y) * unit
-
-    upper_pts = [px(k, y) for k, y in enumerate(reg.upper)]
-    lower_pts = [px(k, y) for k, y in enumerate(reg.lower)]
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-    ]
-    polygon = " ".join(f"{x},{y}" for x, y in upper_pts + lower_pts[::-1])
-    parts.append(f'<polygon points="{polygon}" style="{_STYLE_REGION}"/>')
-    ax0, ay0 = px(0, 0)
-    ax1, _ = px(n, 0)
-    parts.append(f'<line x1="{ax0}" y1="{ay0}" x2="{ax1}" y2="{ay0}" '
-                 f'style="{_STYLE_AXIS}"/>')
-    if suffix_paths:
-        for start in range(1, n):
-            pts = [px(x, y) for x, y in word_path(w[start:])]
-            parts.append(_polyline(pts, _STYLE_SUFFIX))
-    parts.append(_polyline(upper_pts, _STYLE_UPPER))
-    parts.append(_polyline(lower_pts, _STYLE_LOWER))
-    parts.append(_polyline([px(x, y) for x, y in word_path(w)], _STYLE_WORD))
-    parts.append(f'<circle cx="{ax0}" cy="{ay0}" r="3" fill="#000000"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    """Deterministic SVG of the word path and its factor region."""
+    check_render(len(w), unit)  # before the kernel runs on the word
+    return region(w).svg(w, unit, suffix_paths)

@@ -21,6 +21,7 @@ prefix-closed, a failed word can never be repaired by extending it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .profiles import a_count_bounds, max_a_profile, window_max
 from .words import (a_positions, complement, complement_counts, prefix_counts,
@@ -137,9 +138,14 @@ def can_extend_with_a(w: str, validate: bool = False) -> bool:
     """
     if validate and not is_prefix_normal(w):
         raise ValueError(f"{w!r} is not prefix normal")
-    prefix = prefix_counts(w)
-    suffix = prefix_counts(w[::-1])
-    return all(suffix[k] < prefix[k + 1] for k in range(len(w)))
+    return _a_extends(prefix_counts(w))
+
+
+def _a_extends(prefix: list[int]) -> bool:
+    # The suffix of length k holds prefix[n] - prefix[n - k] a's.
+    total = prefix[-1]
+    return all(total - s < p
+               for s, p in zip(reversed(prefix), islice(prefix, 1, None)))
 
 
 class PrefixNormalTester:
@@ -149,14 +155,14 @@ class PrefixNormalTester:
     the word read so far is prefix normal.  A b extension preserves
     normality, an a extension is decided by the right-extension test, and
     once the word has gone non-normal the verdict latches false (the
-    language is prefix-closed).  Each feed costs O(current length), O(n^2)
-    over a whole word.  Single-owner state: not safe for concurrent use.
+    language is prefix-closed).  A b costs O(1), an a fed to a normal word
+    O(current length), so O(n^2) over a whole word at worst.  Single-owner
+    state: not safe for concurrent use.
     """
 
     def __init__(self):
         self._symbols: list[str] = []
         self._prefix = [0]   # prefix a-counts, index 0..n
-        self._suffix = [0]   # suffix a-counts, index 0..n
         self._normal = True
 
     @property
@@ -171,13 +177,10 @@ class PrefixNormalTester:
         """Append one symbol; return whether the word so far is normal."""
         if symbol not in ("a", "b"):
             raise ValueError(f"expected 'a' or 'b', got {symbol!r}")
-        if self._normal and symbol == "a":
-            n = len(self._symbols)
-            self._normal = all(
-                self._suffix[k] < self._prefix[k + 1] for k in range(n))
         is_a = symbol == "a"
+        if self._normal and is_a:
+            self._normal = _a_extends(self._prefix)
         self._prefix.append(self._prefix[-1] + is_a)
-        self._suffix = [0] + [c + is_a for c in self._suffix]
         self._symbols.append(symbol)
         return self._normal
 

@@ -6,10 +6,12 @@ maximum for b (max-b), and the minimum number of a's (min-a).  A profile is
 stored as the plain integer array values[0..n] so downstream consumers can
 answer length-indexed questions with one array read.
 
-All come from one kernel: the per-length sliding window over prefix
-counts, O(n^2) overall, run on a batch of count rows.  A word's a- and
-b-counts are a batch of two, a census chunk a batch of 2^16 words.  Long
-words and batches take the vectorized route over the same windows.
+All come from one kernel over a batch of prefix-count rows: a word's a-
+and b-counts are a batch of two, a census chunk a batch of 2^16 words.
+Short single words take a plain per-length sliding window, O(n^2).  Long
+words and batches slide windows only from the starts of runs, since a
+best window can always be moved onto a run start or onto a suffix: one
+vectorized pass per run start, O(n * rho) for a word with rho runs.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ class OnesProfile:
 def window_max(rows):
     """out[r][k] = max over j of rows[r][j + k] - rows[r][j], k = 0..n.
 
-    ``rows`` are prefix-count rows of length n + 1: a list of lists (the
-    rows of one word; the result is lists of ints) or an (m, n + 1) integer array (the
-    result is an int32 array).
+    ``rows`` are prefix-count rows of length n + 1, each stepping by 0 or
+    1: a list of lists (the rows of one word; the result is lists of ints)
+    or an (m, n + 1) integer array (the result is an int32 array).
     """
     n = len(rows[0]) - 1
     if isinstance(rows, list) and n < _VECTOR_CUTOFF:
@@ -73,9 +75,17 @@ def window_max(rows):
                 for p in rows]
     import numpy as np
     p = np.asarray(rows, dtype=np.int32)
-    out = np.zeros_like(p)
-    for k in range(1, n + 1):
-        out[:, k] = (p[:, k:] - p[:, :n - k + 1]).max(axis=1)
+    # A best window that starts on a 0-step and is not a suffix slides
+    # right without losing count; one that starts on a 1-step after
+    # another 1-step slides left without losing count.  So the suffixes
+    # and the windows from the starts of 1-runs, in any row of the batch,
+    # reach every maximum.
+    out = p[:, n:] - p[:, ::-1]
+    steps = np.diff(p, axis=1)
+    steps[:, 1:] &= 1 - steps[:, :-1]  # keep the first step of each 1-run
+    for s in np.flatnonzero(steps.any(axis=0)).tolist():
+        np.maximum(out[:, :n - s + 1], p[:, s:] - p[:, s:s + 1],
+                   out=out[:, :n - s + 1])
     return out.tolist() if isinstance(rows, list) else out
 
 

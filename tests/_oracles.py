@@ -51,6 +51,13 @@ def brute_min_a_profile(w: str) -> list[int]:
     return vals
 
 
+def brute_window_max(rows) -> list[list[int]]:
+    """out[r][k] = max over j of rows[r][j + k] - rows[r][j], one length k
+    at a time, scanning every window."""
+    return [[max(p[j + k] - p[j] for j in range(len(p) - k))
+             for k in range(len(p))] for p in rows]
+
+
 def brute_is_prefix_normal(w: str) -> bool:
     return all(f.count("a") <= w[:len(f)].count("a") for f in factors(w))
 

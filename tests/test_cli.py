@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -55,11 +56,36 @@ def test_test_json(capsys):
 
 
 def test_stdin_batch(capsys, monkeypatch):
-    import io
     monkeypatch.setattr("sys.stdin", io.StringIO("abab\naabbaaba\n\n"))
     code, out, _ = run(capsys, "test", "-")
     assert code == 1
     assert out == "normal\nnot-normal\nwitness: aaba\n"
+
+
+@pytest.mark.parametrize("command", ["pnf", "test", "profiles", "classify"])
+def test_stdin_batch_goes_on_after_a_bad_line(capsys, monkeypatch, command):
+    expected = "".join(run(capsys, command, w)[1]
+                       for w in ("abab", "aabbaaba"))
+    monkeypatch.setattr("sys.stdin", io.StringIO("abab\nabxb\n\naabbaaba\n"))
+    code, out, err = run(capsys, command, "-")
+    assert (code, out) == (2, expected)
+    assert err == ("error: line 2: invalid character 'x' at position 3 "
+                   "(alphabet 'ab')\n")
+
+
+def test_stdin_batch_writes_each_result_before_reading_on(capsys,
+                                                         monkeypatch):
+    written = []
+
+    def lines():
+        yield "aabbaaba\n"
+        written.append(capsys.readouterr().out)
+        yield "abab\n"
+
+    monkeypatch.setattr("sys.stdin", lines())
+    code, out, _ = run(capsys, "test", "-")
+    assert written == ["not-normal\nwitness: aaba\n"]
+    assert (code, out) == (1, "normal\n")
 
 
 def test_profiles_text(capsys):

@@ -1,7 +1,10 @@
 import io
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prefixnormal import (OnesProfile, PnfPair, build_index, build_pnf_a,
                           census, class_census, cli, geometry, is_prefix_normal,
@@ -9,7 +12,10 @@ from prefixnormal import (OnesProfile, PnfPair, build_index, build_pnf_a,
                           normality_witness, pnf, pnf_from_index, pnf_pair,
                           profiles, region, region_csv, reverse)
 
-from _oracles import (brute_max_profile, brute_min_a_profile, random_word,
+from prefixnormal.words import complement_counts, prefix_counts
+
+from _oracles import (brute_max_profile, brute_min_a_profile,
+                      brute_window_max, random_word, words_of_length,
                       words_up_to)
 
 EXAMPLE_WORD = "ababbaabaabbbaaabbab"
@@ -54,6 +60,52 @@ def test_oracle_equivalence_random_long():
         w = random_word(rng, rng.randint(64, 160))
         assert list(max_a_profile(w).values) == brute_max_profile(w, "a")
         assert list(min_a_profile(w).values) == brute_min_a_profile(w)
+
+
+def _rows(w, both):
+    counts = prefix_counts(w)
+    return [counts, complement_counts(counts)] if both else [counts]
+
+
+@st.composite
+def run_words(draw):
+    """Words made of a few runs, some of them long."""
+    lengths = draw(st.lists(st.integers(1, 120), max_size=6))
+    first = draw(st.sampled_from("ab"))
+    other = "b" if first == "a" else "a"
+    return "".join((first, other)[i % 2] * m for i, m in enumerate(lengths))
+
+
+@given(st.one_of(st.text("ab", min_size=62, max_size=66),
+                 st.text("ab", max_size=300), run_words()),
+       st.booleans())
+def test_window_max_matches_brute_scan(w, both):
+    rows = _rows(w, both)
+    assert profiles.window_max(rows) == brute_window_max(rows)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 300])
+@pytest.mark.parametrize("unit", ["a", "b", "ab", "ba", "aab"])
+def test_window_max_on_periodic_words(n, unit):
+    rows = _rows((unit * n)[:n], True)
+    assert profiles.window_max(rows) == brute_window_max(rows)
+
+
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.text("ab", min_size=n, max_size=n),
+                       min_size=1, max_size=50)))
+def test_window_max_on_census_shaped_arrays(words):
+    rows = [prefix_counts(w) for w in words]
+    out = profiles.window_max(np.array(rows, dtype=np.int32))
+    assert out.dtype == np.int32 and out.shape == (len(rows), len(rows[0]))
+    assert out.tolist() == brute_window_max(rows)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9])
+def test_window_max_on_a_whole_census_chunk(n):
+    rows = [prefix_counts(w) for w in words_of_length(n)]
+    out = profiles.window_max(np.array(rows, dtype=np.int32))
+    assert out.tolist() == brute_window_max(rows)
 
 
 def _check_subadditive(values):
@@ -113,7 +165,8 @@ def test_profile_validation_rejects_bad_arrays():
         OnesProfile("median", (0, 1))
 
 
-def test_one_kernel_call_per_word_and_per_chunk(monkeypatch, capsys):
+def test_one_kernel_call_per_word_and_per_chunk(monkeypatch, capsys,
+                                               tmp_path):
     calls = []
     kernel = profiles.window_max
 
@@ -145,5 +198,9 @@ def test_one_kernel_call_per_word_and_per_chunk(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(words) + "\n"))
     assert kernel_calls(cli.main, ["profiles", "-"]) == len(words)
     capsys.readouterr()
+    for w in (EXAMPLE_WORD, long_word):
+        argv = ["region", w, "-o", str(tmp_path / "r.svg"),
+                "--csv", str(tmp_path / "r.csv")]
+        assert kernel_calls(cli.main, argv) == 1
 
     assert kernel_calls(class_census, 17) == len(census._chunk_ranges(17))
