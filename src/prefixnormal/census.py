@@ -3,6 +3,9 @@
 Counting walks the prefix-closed search tree: both the prefix normal
 words and the pre-necklaces are closed under truncation, so a depth-first
 walk that only ever extends valid words visits each one exactly once.
+Each language has one in-place walker, which the counters, the iterators
+and the parallel split share: a prefix normal word takes an a when pnf's
+right-extension test passes, a pre-necklace follows its Lyndon period.
 
 The class census groups all 2^n words of a length by their prefix normal
 form.  It streams the words in fixed-size chunks (vectorized profile
@@ -15,15 +18,14 @@ known count/class tables is frozen here and re-derived by verify_tables.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator
 
 from .lyndon import _lyndon_prefix_period
-from .pnf import is_prefix_normal
+from .pnf import _a_extends, is_prefix_normal
 from .profiles import window_max
-from .words import prefix_counts
+from .words import prefix_counts, word_from_counts
 
 DEFAULT_COUNT_BOUND = 24
 DEFAULT_CENSUS_BOUND = 20
@@ -40,108 +42,86 @@ _DECODE = str.maketrans("01", "ab")
 
 # ---------------------------------------------------------------------------
 # Tree-walk enumeration
+#
+# A walker yields (depth, state) at every node under ``root`` down to depth
+# ``max_n``, in lexicographic preorder.  The state, one buffer written in
+# place and valid until the walker resumes, holds the path: the walk's
+# stack.  A node descends to its a-child if any, else its b-child; only an
+# a has a next sibling, so after a leaf the deepest a below root turns b.
 
-def _pn_subtree_counts(root: str, max_n: int) -> list[int]:
-    """Per-depth node counts of the prefix normal tree under ``root``.
-
-    counts[d] is the number of prefix normal words of length d that extend
-    ``root`` (the root itself included); entries below len(root) stay 0.
-    """
-    counts = [0] * (max_n + 1)
-
-    def walk(prefix: list[int], suffix: list[int]) -> None:
-        depth = len(prefix) - 1
-        counts[depth] += 1
-        if depth == max_n:
+def _pn_walk(root: str, max_n: int) -> Iterator[tuple[int, list[int]]]:
+    """Prefix normal words; the state is the prefix a-count list, whose
+    entries 0..depth belong to the current word."""
+    depth = top = len(root)
+    prefix = prefix_counts(root) + [0] * (max_n - top)
+    while True:
+        yield depth, prefix
+        if depth < max_n:
+            prefix[depth + 1] = prefix[depth] + _a_extends(prefix, depth)
+            depth += 1
+            continue
+        while depth > top and prefix[depth] == prefix[depth - 1]:
+            depth -= 1
+        if depth == top:
             return
-        if all(suffix[k] < prefix[k + 1] for k in range(depth)):
-            walk([*prefix, prefix[-1] + 1], [0, *(c + 1 for c in suffix)])
-        walk([*prefix, prefix[-1]], [0, *suffix])
+        prefix[depth] -= 1
 
-    # prefix and suffix a-counts drive the right-extension test
-    walk(prefix_counts(root), prefix_counts(root[::-1]))
+
+def _pl_walk(root: str, max_n: int) -> Iterator[tuple[int, list[str]]]:
+    """Pre-necklaces; the state is the symbol list, word[1..depth] the
+    current word and word[0] a sentinel a.  word[1..d], with Lyndon
+    prefix-period p = period[d], extends by word[d + 1 - p], keeping p, and
+    if that is an a also by b, with period d + 1.  The empty word has
+    period 1 and reads the sentinel, so it has both children."""
+    depth = top = len(root)
+    word = ["a", *root] + ["a"] * (max_n - top)
+    period = [0] * (max_n + 1)
+    period[top] = _lyndon_prefix_period(root)
+    while True:
+        yield depth, word
+        if depth < max_n:
+            depth += 1
+            word[depth] = word[depth - period[depth - 1]]
+            period[depth] = period[depth - 1]
+            continue
+        while depth > top and word[depth] == "b":
+            depth -= 1
+        if depth == top:
+            return
+        word[depth] = "b"
+        period[depth] = depth
+
+
+# kind -> (walker, word of a state at the walker's full depth)
+_WALKS = {"pn": (_pn_walk, word_from_counts),
+          "pl": (_pl_walk, lambda word: "".join(word[1:]))}
+
+
+def _subtree_counts(kind: str, root: str, max_n: int) -> list[int]:
+    """Nodes per depth of the ``kind`` tree under ``root``, root included."""
+    counts = [0] * (max_n + 1)
+    for depth, _ in _WALKS[kind][0](root, max_n):
+        counts[depth] += 1
     return counts
 
 
-def _pl_subtree_counts(root: str, max_n: int) -> list[int]:
-    """Per-depth node counts of the pre-necklace tree under ``root``."""
-    counts = [0] * (max_n + 1)
-    word = list(root)
-
-    def walk(period: int) -> None:
-        depth = len(word)
-        counts[depth] += 1
-        if depth == max_n:
-            return
-        if depth == 0:
-            for ch in "ab":
-                word.append(ch)
-                walk(1)
-                word.pop()
-            return
-        prev = word[depth - period]
-        word.append(prev)
-        walk(period)
-        word.pop()
-        if prev == "a":
-            word.append("b")
-            walk(depth + 1)
-            word.pop()
-
-    walk(_lyndon_prefix_period(root) if root else 0)
-    return counts
+def _words(kind: str, n: int) -> Iterator[str]:
+    if n < 0:
+        raise ValueError("length must be non-negative")
+    walk, decode = _WALKS[kind]
+    for depth, state in walk("", n):
+        if depth == n:
+            yield decode(state)
 
 
 def iter_prefix_normal(n: int) -> Iterator[str]:
     """All prefix normal words of length ``n`` in lexicographic order."""
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    buf: list[str] = []
-
-    def walk(prefix: list[int], suffix: list[int]) -> Iterator[str]:
-        depth = len(buf)
-        if depth == n:
-            yield "".join(buf)
-            return
-        if all(suffix[k] < prefix[k + 1] for k in range(depth)):
-            buf.append("a")
-            yield from walk([*prefix, prefix[-1] + 1],
-                            [0, *(c + 1 for c in suffix)])
-            buf.pop()
-        buf.append("b")
-        yield from walk([*prefix, prefix[-1]], [0, *suffix])
-        buf.pop()
-
-    yield from walk([0], [0])
+    return _words("pn", n)
 
 
 def iter_pre_necklaces(n: int) -> Iterator[str]:
     """All pre-necklaces of length ``n`` in lexicographic order."""
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    word: list[str] = []
-
-    def walk(period: int) -> Iterator[str]:
-        depth = len(word)
-        if depth == n:
-            yield "".join(word)
-            return
-        if depth == 0:
-            for ch in "ab":
-                word.append(ch)
-                yield from walk(1)
-                word.pop()
-            return
-        prev = word[depth - period]
-        word.append(prev)
-        yield from walk(period)
-        word.pop()
-        if prev == "a":
-            word.append("b")
-            yield from walk(depth + 1)
-            word.pop()
-
-    yield from walk(0)
+    return _words("pl", n)
 
 
 def _check_jobs(jobs: int) -> None:
@@ -156,6 +136,8 @@ def _map_tasks(fn: Callable, tasks: list, jobs: int) -> Iterator:
     if workers <= 1:
         yield from map(fn, tasks)
         return
+    # imported here: the pool loads multiprocessing, unused by serial runs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, tasks,
                             chunksize=max(1, len(tasks) // (workers * 4)))
@@ -163,15 +145,20 @@ def _map_tasks(fn: Callable, tasks: list, jobs: int) -> Iterator:
 
 def _tree_counts(kind: str, max_n: int, jobs: int) -> list[int]:
     _check_jobs(jobs)
-    subtree = _pn_subtree_counts if kind == "pn" else _pl_subtree_counts
     if jobs == 1 or max_n <= _SPLIT_DEPTH + 1:
-        return subtree("", max_n)
-    split = _SPLIT_DEPTH
-    counts = subtree("", split)[:split] + [0] * (max_n - split + 1)
-    roots = list(iter_prefix_normal(split) if kind == "pn"
-                 else iter_pre_necklaces(split))
-    for part in _map_tasks(partial(subtree, max_n=max_n), roots, jobs):
-        for d in range(split, max_n + 1):
+        return _subtree_counts(kind, "", max_n)
+    # one walk of the top counts its nodes and collects the subtree roots
+    walk, decode = _WALKS[kind]
+    counts = [0] * (max_n + 1)
+    roots = []
+    for depth, state in walk("", _SPLIT_DEPTH):
+        if depth < _SPLIT_DEPTH:
+            counts[depth] += 1
+        else:
+            roots.append(decode(state))
+    for part in _map_tasks(partial(_subtree_counts, kind, max_n=max_n),
+                           roots, jobs):
+        for d in range(_SPLIT_DEPTH, max_n + 1):
             counts[d] += part[d]
     return counts
 

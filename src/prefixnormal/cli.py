@@ -205,7 +205,8 @@ def cmd_classes(args) -> int:
 
 def cmd_region(args) -> int:
     w = parse_word(args.word, args.alphabet)
-    geometry.check_render(len(w), args.unit)  # before the kernel runs
+    # before the kernel runs
+    geometry.check_render(len(w), args.unit, args.suffix_paths)
     reg = geometry.region(w)
     svg = reg.svg(w, unit=args.unit, suffix_paths=args.suffix_paths)
     if args.csv:

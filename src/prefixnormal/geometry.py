@@ -21,6 +21,8 @@ from .profiles import a_count_bounds
 from .words import ParikhVector, prefix_counts
 
 RENDER_BOUND = 10_000
+# Suffix paths draw about n^2 / 2 points: a 17 MB SVG at n = 2000.
+SUFFIX_PATHS_BOUND = 2000
 
 _STYLE_REGION = "fill:#cfe3f5;stroke:none"
 _STYLE_SUFFIX = "fill:none;stroke:#9aa7b0;stroke-width:1"
@@ -93,7 +95,7 @@ class RegionProfile:
         forms), the word's own path, and optionally every suffix path.
         """
         n = len(w)
-        check_render(n, unit)
+        check_render(n, unit, suffix_paths)
         if n != self.n:
             raise ValueError(f"word length {n} differs from region length "
                              f"{self.n}")
@@ -146,11 +148,14 @@ def region_csv(w: str) -> str:
     return region(w).csv()
 
 
-def check_render(n: int, unit: int) -> None:
-    """Reject a word too long to render or a non-positive unit."""
+def check_render(n: int, unit: int, suffix_paths: bool) -> None:
+    """Reject a word too long to render as asked or a non-positive unit."""
     if n > RENDER_BOUND:
         raise ValueError(f"word length {n} exceeds render bound "
                          f"{RENDER_BOUND}")
+    if suffix_paths and n > SUFFIX_PATHS_BOUND:
+        raise ValueError(f"word length {n} exceeds the suffix-path bound "
+                         f"{SUFFIX_PATHS_BOUND}")
     if unit < 1:
         raise ValueError("unit must be a positive integer")
 
@@ -162,5 +167,5 @@ def _polyline(points: list[tuple[int, int]], style: str) -> str:
 
 def render_svg(w: str, unit: int = 16, suffix_paths: bool = False) -> str:
     """Deterministic SVG of the word path and its factor region."""
-    check_render(len(w), unit)  # before the kernel runs on the word
+    check_render(len(w), unit, suffix_paths)  # before the kernel runs
     return region(w).svg(w, unit, suffix_paths)

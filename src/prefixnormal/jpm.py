@@ -40,6 +40,11 @@ class JumbledIndex:
             raise ValueError("index needs a max-a and a min-a profile")
         if self.max_a.n != self.n or self.min_a.n != self.n:
             raise ValueError("profile lengths disagree with text length")
+        a_total, b_total = self.max_a[self.n], self.n - self.min_a[self.n]
+        if a_total + b_total != self.n:  # one window of length n
+            raise ValueError(f"inconsistent index: {a_total} a's plus "
+                             f"{b_total} b's cannot make a word of length "
+                             f"{self.n}")
         for k in range(self.n + 1):
             if self.min_a[k] > self.max_a[k]:
                 raise ValueError(
@@ -75,16 +80,9 @@ def index_from_pnf(p: PnfPair) -> JumbledIndex:
     The pair must describe one source word: the a-count of the a-side form
     and the b-count of the b-side form have to sum to the length.
     """
-    n = p.source_length
-    a_total = p.pnf_a.count("a")
-    b_total = p.pnf_b.count("b")
-    if a_total + b_total != n:
-        raise ValueError(
-            f"inconsistent pair: {a_total} a's plus {b_total} b's "
-            f"cannot make a word of length {n}")
     # The b-side form has its a's where min-a steps up.
     max_a, min_a = prefix_counts(p.pnf_a), prefix_counts(p.pnf_b)
-    return JumbledIndex(n, OnesProfile("max-a", tuple(max_a)),
+    return JumbledIndex(p.source_length, OnesProfile("max-a", tuple(max_a)),
                         OnesProfile("min-a", tuple(min_a)))
 
 
@@ -139,7 +137,8 @@ def index_to_json(ix: JumbledIndex) -> str:
 
 
 def index_from_json(text: str) -> JumbledIndex:
-    """Parse the JSON form back into an index, validating all invariants."""
+    """Parse the JSON form back into an index whose two normal forms are
+    prefix normal; that some word realizes it is not checked."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -161,5 +160,10 @@ def index_from_json(text: str) -> JumbledIndex:
             and all(type(v) is int for v in max_vals + min_vals)):
         raise ValueError("index fields must be an integer n and integer "
                          "lists maxA and minA")
-    return JumbledIndex(n, OnesProfile("max-a", tuple(max_vals)),
-                        OnesProfile("min-a", tuple(min_vals)))
+    ix = JumbledIndex(n, OnesProfile("max-a", tuple(max_vals)),
+                      OnesProfile("min-a", tuple(min_vals)))
+    try:
+        pnf_from_index(ix)
+    except ValueError:  # its message would echo a normal form n long
+        raise ValueError("no word has this index") from None
+    return ix

@@ -21,7 +21,6 @@ prefix-closed, a failed word can never be repaired by extending it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .profiles import a_count_bounds, max_a_profile, window_max
 from .words import (a_positions, complement, complement_counts, prefix_counts,
@@ -138,14 +137,17 @@ def can_extend_with_a(w: str, validate: bool = False) -> bool:
     """
     if validate and not is_prefix_normal(w):
         raise ValueError(f"{w!r} is not prefix normal")
-    return _a_extends(prefix_counts(w))
+    return _a_extends(prefix_counts(w), len(w))
 
 
-def _a_extends(prefix: list[int]) -> bool:
-    # The suffix of length k holds prefix[n] - prefix[n - k] a's.
-    total = prefix[-1]
-    return all(total - s < p
-               for s, p in zip(reversed(prefix), islice(prefix, 1, None)))
+def _a_extends(prefix: list[int], n: int) -> bool:
+    # For j in 1..n the suffix of length n - j, with prefix[n] - prefix[j]
+    # a's, needs fewer than prefix[n + 1 - j]; j and n + 1 - j test alike.
+    total = prefix[n]
+    for j in range(1, (n + 1) // 2 + 1):
+        if total >= prefix[j] + prefix[n + 1 - j]:
+            return False
+    return True
 
 
 class PrefixNormalTester:
@@ -179,7 +181,7 @@ class PrefixNormalTester:
             raise ValueError(f"expected 'a' or 'b', got {symbol!r}")
         is_a = symbol == "a"
         if self._normal and is_a:
-            self._normal = _a_extends(self._prefix)
+            self._normal = _a_extends(self._prefix, len(self._symbols))
         self._prefix.append(self._prefix[-1] + is_a)
         self._symbols.append(symbol)
         return self._normal

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from prefixnormal import (ClassCensus, CountsRow, TableExpectations,
@@ -74,13 +76,13 @@ def test_counts_row_validation():
 
 
 def test_iterators_lexicographic_and_complete():
-    for n in range(9):
+    for n in range(13):
         normals = list(iter_prefix_normal(n))
         assert normals == sorted(normals)
         assert normals == [w for w in words_of_length(n)
                            if is_prefix_normal(w)]
-    reference = brute_pre_necklaces(10)
-    for n in range(9):
+    reference = brute_pre_necklaces(12)
+    for n in range(13):
         pl = list(iter_pre_necklaces(n))
         assert pl == sorted(pl)
         assert pl == [w for w in words_of_length(n) if w in reference]
@@ -150,6 +152,19 @@ def test_class_census_validation():
         ClassCensus(2, {"aa": 1, "ab": 1}, 4)
 
 
+def test_subtree_counts_sum_to_serial_counts():
+    # the walkers restart from any root: the trees under all roots of
+    # length 6 partition the serial tree below depth 6
+    for kind, roots in (("pn", iter_prefix_normal(6)),
+                        ("pl", iter_pre_necklaces(6))):
+        total = [0] * 15
+        for root in roots:
+            part = census._subtree_counts(kind, root, 14)
+            assert part[:6] == [0] * 6 and part[6] == 1
+            total = [t + c for t, c in zip(total, part)]
+        assert total[6:] == census._tree_counts(kind, 14, 1)[6:]
+
+
 def test_parallel_paths_match_serial():
     assert count_prefix_normal(14, jobs=2) == count_prefix_normal(14)
     assert count_pre_necklaces(14, jobs=2) == count_pre_necklaces(14)
@@ -185,9 +200,10 @@ def test_verify_tables_flags_tampered_cells():
     assert failed == {"prefix-normal count n=8", "class size n=4 aabb"}
 
 
-def test_jobs_clamped_to_cpus_and_tasks(monkeypatch):
-    # a stub pool records its size and runs the tasks here, so no worker
-    # process starts
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts of the pools started; a stub pool records its size
+    and runs the tasks here, so no worker process starts."""
     sizes = []
 
     class StubPool:
@@ -203,7 +219,12 @@ def test_jobs_clamped_to_cpus_and_tasks(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+    return sizes
+
+
+def test_jobs_clamped_to_cpus_and_tasks(monkeypatch, pool_sizes):
+    sizes = pool_sizes
     monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
     assert count_prefix_normal(14, jobs=1000) == 2279
     assert sizes == [3]                      # cpu count: 697 root tasks
@@ -212,6 +233,17 @@ def test_jobs_clamped_to_cpus_and_tasks(monkeypatch):
     monkeypatch.setattr(census.os, "cpu_count", lambda: None)
     assert count_pre_necklaces(14, jobs=8) == 2538
     assert sizes == [3, 2]                   # unknown cpu count: serial
+
+
+def test_split_paths_match_serial_in_process(monkeypatch, pool_sizes):
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    assert count_pre_necklaces(14, jobs=2) == count_pre_necklaces(14)
+    assert pool_sizes == [2]
+    # the one walk of the top tree gives the counts above the split too
+    for kind in ("pn", "pl"):
+        assert (census._tree_counts(kind, 14, 2)
+                == census._tree_counts(kind, 14, 1))
+    assert pool_sizes == [2, 2, 2]
 
 
 @pytest.mark.parametrize("jobs", [0, -5])

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import prefixnormal
+from prefixnormal import geometry
 from prefixnormal.cli import main
+from prefixnormal.geometry import SUFFIX_PATHS_BOUND
 
 EXAMPLE_WORD = "ababbaabaabbbaaabbab"
 
@@ -263,6 +265,32 @@ def test_index_with_wrong_field_types_is_usage_error(capsys, tmp_path):
             assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_impossible_index_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    for doc in ('{"version":1,"n":2,"maxA":[0,0,1],"minA":[0,0,0]}',
+                '{"version":1,"n":2,"maxA":[0,1,2],"minA":[0,0,0]}',
+                '{"version":1,"n":3,"maxA":[0,0,1,1],"minA":[0,0,0,1]}'):
+        bad.write_text(doc)
+        for argv in (["index", "query", str(bad), "1", "1"],
+                     ["index", "pnf", str(bad)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_suffix_paths_bound(capsys, monkeypatch, tmp_path):
+    w = "ab" * (SUFFIX_PATHS_BOUND // 2) + "a"
+    out_path = str(tmp_path / "r.svg")
+    code, out, _ = run(capsys, "region", w, "-o", out_path)
+    assert (code, out) == (0, "")
+    # rejected before the region is computed
+    monkeypatch.setattr(geometry, "region", None)
+    code, out, err = run(capsys, "region", w, "-o", out_path,
+                         "--suffix-paths")
+    assert (code, out) == (2, "")
+    assert "suffix-path bound" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--max-n", "4", "--jobs", "0"],
     ["enumerate", "--max-n", "16", "--jobs", "-5"],
@@ -281,8 +309,9 @@ def test_short_commands_leave_numpy_unloaded():
     script = ("import sys, prefixnormal.cli as cli\n"
               "assert cli.main(['pnf', 'ab']) == 0\n"
               "assert cli.main(['enumerate', '--max-n', '1']) == 0\n"
-              "print('numpy' in sys.modules)\n")
+              "print('numpy' in sys.modules)\n"
+              "print('concurrent.futures.process' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-2:] == ["False", "False"]

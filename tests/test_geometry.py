@@ -6,6 +6,7 @@ import pytest
 from prefixnormal import (RegionProfile, build_index, build_pnf_a,
                           build_pnf_b, query, region, region_csv, render_svg,
                           word_path)
+from prefixnormal.geometry import SUFFIX_PATHS_BOUND
 
 from _oracles import random_word, words_up_to
 
@@ -117,3 +118,12 @@ def test_render_bounds():
         render_svg("ab" * 6000)
     with pytest.raises(ValueError):
         render_svg("ab", unit=0)
+
+
+def test_suffix_paths_bound():
+    w = "ab" * (SUFFIX_PATHS_BOUND // 2) + "a"
+    assert render_svg(w).startswith("<svg")
+    with pytest.raises(ValueError, match="suffix-path bound"):
+        render_svg(w, suffix_paths=True)
+    with pytest.raises(ValueError, match="suffix-path bound"):
+        region(w).svg(w, suffix_paths=True)

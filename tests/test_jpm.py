@@ -49,6 +49,19 @@ def test_index_validation():
                      OnesProfile("min-a", (0, 0, 0)))
 
 
+def test_index_from_json_rejects_impossible_indexes():
+    # unequal totals at k = n; then a max-a profile that is not
+    # subadditive (its normal form "bab" is not prefix normal)
+    for doc in ('{"version":1,"n":2,"maxA":[0,0,1],"minA":[0,0,0]}',
+                '{"version":1,"n":2,"maxA":[0,1,2],"minA":[0,0,0]}',
+                '{"version":1,"n":3,"maxA":[0,0,1,1],"minA":[0,0,0,1]}'):
+        with pytest.raises(ValueError):
+            index_from_json(doc)
+    with pytest.raises(ValueError, match="inconsistent"):
+        JumbledIndex(2, OnesProfile("max-a", (0, 0, 1)),
+                     OnesProfile("min-a", (0, 0, 0)))
+
+
 def test_index_from_pnf_examples():
     ix = index_from_pnf(PnfPair("aaababbabaabbababbab",
                                 "bbbaababababaabababa"))
