@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Iterator
 
 from .lyndon import _lyndon_prefix_period
 from .pnf import _a_extends, is_prefix_normal
-from .profiles import window_max
+from .profiles import _count_dtype, window_max
 from .words import prefix_counts, word_from_counts
 
 DEFAULT_COUNT_BOUND = 24
@@ -233,12 +233,13 @@ def _pnf_codes(n: int, start: int, stop: int):
     same packing of each word's prefix normal form.
     """
     import numpy as np
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (np.arange(start, stop, dtype=np.int64)[:, None] >> shifts) & 1
-    prefix = np.zeros((stop - start, n + 1), dtype=np.int32)
-    np.cumsum(1 - bits, axis=1, dtype=np.int32, out=prefix[:, 1:])
-    steps = np.diff(window_max(prefix), axis=1)
-    return (1 - steps).astype(np.int64) @ (np.int64(1) << shifts)
+    a_bits = ~np.arange(start, stop)  # bit n - 1 - k set: an a at k
+    prefix = np.zeros((n + 1, stop - start), dtype=_count_dtype(n))
+    for k in range(n):  # window axis first: one contiguous row per k
+        prefix[k + 1] = prefix[k] + (a_bits >> (n - 1 - k) & 1)
+    steps = np.diff(window_max(prefix.T).T, axis=0)  # 1 at each a of the PNF
+    codes = np.zeros(stop - start, dtype=np.int64)
+    return reduce(lambda code, step: 2 * code + 1 - step, steps, codes)
 
 
 def _census_chunk(n: int, bounds: tuple[int, int]) -> dict[int, int]:

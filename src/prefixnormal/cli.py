@@ -125,10 +125,9 @@ def cmd_index(args) -> int:
             print(doc)
         return 0
     with open(args.file, encoding="utf-8") as fh:
-        ix = jpm.index_from_json(fh.read())
+        ix, pair = jpm._load_index(fh.read())
     if args.index_cmd == "query":
         return _report_query(ix, args.x, args.y)
-    pair = jpm.pnf_from_index(ix)
     print(f"PNF_a: {pair.pnf_a}")
     print(f"PNF_b: {pair.pnf_b}")
     return 0

@@ -139,6 +139,10 @@ def index_to_json(ix: JumbledIndex) -> str:
 def index_from_json(text: str) -> JumbledIndex:
     """Parse the JSON form back into an index whose two normal forms are
     prefix normal; that some word realizes it is not checked."""
+    return _load_index(text)[0]
+
+
+def _load_index(text: str) -> tuple[JumbledIndex, PnfPair]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -163,7 +167,7 @@ def index_from_json(text: str) -> JumbledIndex:
     ix = JumbledIndex(n, OnesProfile("max-a", tuple(max_vals)),
                       OnesProfile("min-a", tuple(min_vals)))
     try:
-        pnf_from_index(ix)
+        pair = pnf_from_index(ix)
     except ValueError:  # its message would echo a normal form n long
         raise ValueError("no word has this index") from None
-    return ix
+    return ix, pair

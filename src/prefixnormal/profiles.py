@@ -11,7 +11,8 @@ and b-counts are a batch of two, a census chunk a batch of 2^16 words.
 Short single words take a plain per-length sliding window, O(n^2).  Long
 words and batches slide windows only from the starts of runs, since a
 best window can always be moved onto a run start or onto a suffix: one
-vectorized pass per run start, O(n * rho) for a word with rho runs.
+vectorized pass per run start, O(n * rho) for a word with rho runs, over
+a block stored window axis first in the narrowest signed dtype holding n.
 """
 
 from __future__ import annotations
@@ -66,27 +67,37 @@ def window_max(rows):
     """out[r][k] = max over j of rows[r][j + k] - rows[r][j], k = 0..n.
 
     ``rows`` are prefix-count rows of length n + 1, each stepping by 0 or
-    1: a list of lists (the rows of one word; the result is lists of ints)
-    or an (m, n + 1) integer array (the result is an int32 array).
+    1: a list of lists (the rows of one word, each slid as its own block;
+    the result is lists of ints) or an (m, n + 1) integer array, slid as
+    the one (n + 1, m) block rows.T (the result is an array of its dtype).
     """
     n = len(rows[0]) - 1
-    if isinstance(rows, list) and n < _VECTOR_CUTOFF:
-        return [[0, *(max(map(sub, p[k:], p)) for k in range(1, n + 1))]
-                for p in rows]
+    if not isinstance(rows, list):
+        return _slide(rows.T).T.astype(rows.dtype, copy=False)
+    return [_slide(p)[:, 0].tolist() if n >= _VECTOR_CUTOFF else
+            [0, *(max(map(sub, p[k:], p)) for k in range(1, n + 1))]
+            for p in rows]
+
+
+def _count_dtype(n: int) -> str:  # the narrowest signed dtype for 0..n
+    return "int8" if n < 128 else "int16" if n < 32768 else "int32"
+
+
+def _slide(q):
+    """window_max down each column of q, a count list or an (n + 1, m)
+    array, as one C-ordered block in _count_dtype(n), not copied if q is
+    one.  A best window that starts on a 0-step and is not a suffix slides
+    right without losing count; one that starts on a 1-step after another
+    1-step slides left without losing count.  So the suffixes and the
+    windows from the starts of 1-runs, in any column, reach every max."""
     import numpy as np
-    p = np.asarray(rows, dtype=np.int32)
-    # A best window that starts on a 0-step and is not a suffix slides
-    # right without losing count; one that starts on a 1-step after
-    # another 1-step slides left without losing count.  So the suffixes
-    # and the windows from the starts of 1-runs, in any row of the batch,
-    # reach every maximum.
-    out = p[:, n:] - p[:, ::-1]
-    steps = np.diff(p, axis=1)
-    steps[:, 1:] &= 1 - steps[:, :-1]  # keep the first step of each 1-run
-    for s in np.flatnonzero(steps.any(axis=0)).tolist():
-        np.maximum(out[:, :n - s + 1], p[:, s:] - p[:, s:s + 1],
-                   out=out[:, :n - s + 1])
-    return out.tolist() if isinstance(rows, list) else out
+    q = np.ascontiguousarray(q, _count_dtype(len(q) - 1)).reshape(len(q), -1)
+    out = q[-1] - q[::-1]
+    steps = np.diff(q, axis=0)
+    steps[1:] &= 1 - steps[:-1]  # keep the first step of each 1-run
+    for s in np.flatnonzero(steps.any(axis=1)).tolist():
+        np.maximum(out[:len(q) - s], q[s:] - q[s], out=out[:len(q) - s])
+    return out
 
 
 def a_count_bounds(w: str) -> tuple[list[int], list[int]]:

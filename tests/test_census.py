@@ -1,4 +1,5 @@
 import concurrent.futures
+import random
 
 import pytest
 
@@ -114,6 +115,22 @@ def test_census_against_per_word_grouping():
         census = class_census(n)
         assert census.classes == expected
         assert census.total_words == 2 ** n
+
+
+def _packed_pnf(n, code):
+    w = format(code, f"0{n}b").translate(str.maketrans("01", "ab"))
+    return int(build_pnf_a(w).translate(str.maketrans("ab", "01")), 2)
+
+
+def test_pnf_codes_match_packed_normal_forms():
+    for n in range(1, 11):
+        assert census._pnf_codes(n, 0, 1 << n).tolist() == [
+            _packed_pnf(n, code) for code in range(1 << n)]
+    rng = random.Random(2207)
+    for lo, hi in census._chunk_ranges(17):
+        codes = census._pnf_codes(17, lo, hi)
+        for code in rng.sample(range(lo, hi), 1000):
+            assert codes[code - lo] == _packed_pnf(17, code)
 
 
 def test_census_partition_properties():

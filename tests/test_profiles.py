@@ -108,6 +108,40 @@ def test_window_max_on_a_whole_census_chunk(n):
     assert out.tolist() == brute_window_max(rows)
 
 
+def _closed_form_bounds(a1, b, a2):
+    """max-a and min-a of a^a1 b^b a^a2: a window holds at most k a's from
+    one a-block, or all but the b-block's b symbols when it covers it."""
+    n = a1 + b + a2
+    return ([max(min(k, max(a1, a2)), k - b) for k in range(n + 1)],
+            [max(0, k - b) for k in range(n + 1)])
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 32767, 32768, 32769])
+def test_window_max_at_dtype_boundaries(n):
+    # a^n, b^n, a^i b^j and a^i b^j a^k around the int8 and int16 limits
+    for a1, b, a2 in ((n, 0, 0), (0, n, 0), (n // 2, n - n // 2, 0),
+                      (1, n - 1, 0), (n // 3, n // 3, n - 2 * (n // 3)),
+                      (1, n - 2, 1), (0, 1, n - 1)):
+        w = "a" * a1 + "b" * b + "a" * a2
+        max_a, min_a = _closed_form_bounds(a1, b, a2)
+        max_b = complement_counts(min_a)
+        assert profiles.window_max(_rows(w, True)) == [max_a, max_b]
+        assert profiles.a_count_bounds(w) == (max_a, min_a)
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 70])
+def test_window_max_array_dtypes_and_layouts(n):
+    rng = random.Random(2206 + n)
+    rows = [prefix_counts(random_word(rng, n)) for _ in range(40)]
+    expected = brute_window_max(rows)
+    for dtype in (np.int8, np.int32):
+        out = profiles.window_max(np.array(rows, dtype=dtype))
+        assert out.dtype == dtype and out.tolist() == expected
+    block = np.ascontiguousarray(np.array(rows, dtype=np.int8).T)
+    out = profiles.window_max(block.T)
+    assert out.dtype == np.int8 and out.tolist() == expected
+
+
 def _check_subadditive(values):
     n = len(values) - 1
     for j in range(n + 1):
@@ -204,3 +238,11 @@ def test_one_kernel_call_per_word_and_per_chunk(monkeypatch, capsys,
         assert kernel_calls(cli.main, argv) == 1
 
     assert kernel_calls(class_census, 17) == len(census._chunk_ranges(17))
+
+    for w in (EXAMPLE_WORD, long_word):
+        index_file = str(tmp_path / "ix.json")
+        cli.main(["index", "build", w, "-o", index_file])
+        assert kernel_calls(cli.main, ["index", "pnf", index_file]) == 1
+        assert kernel_calls(cli.main, ["index", "query", index_file,
+                                       "3", "2"]) == 1
+    capsys.readouterr()
