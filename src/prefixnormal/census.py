@@ -1,11 +1,10 @@
 """Exhaustive enumeration: counting, classes, and reference-table checks.
 
-Counting walks the prefix-closed search tree: both the prefix normal
-words and the pre-necklaces are closed under truncation, so a depth-first
-walk that only ever extends valid words visits each one exactly once.
-Each language has one in-place walker, which the counters, the iterators
-and the parallel split share: a prefix normal word takes an a when pnf's
-right-extension test passes, a pre-necklace follows its Lyndon period.
+Counting grows each prefix-closed tree level by level, in this process:
+the prefix normal words and the pre-necklaces are closed under truncation,
+so level d + 1 is level d with every valid child appended, a before b,
+which keeps each level in lexicographic order.  Counts up to n = 16 run
+on Python lists; longer ones and the iterators grow int8 numpy blocks.
 
 The class census groups all 2^n words of a length by their prefix normal
 form.  It streams the words in fixed-size chunks (vectorized profile
@@ -22,10 +21,8 @@ from dataclasses import dataclass, field
 from functools import partial, reduce
 from typing import Callable, Iterator
 
-from .lyndon import _lyndon_prefix_period
 from .pnf import _a_extends, is_prefix_normal
 from .profiles import _count_dtype, window_max
-from .words import prefix_counts, word_from_counts
 
 DEFAULT_COUNT_BOUND = 24
 DEFAULT_CENSUS_BOUND = 20
@@ -34,93 +31,99 @@ DEFAULT_CENSUS_BOUND = 20
 # the per-chunk arrays a few megabytes at n = 20.
 _CHUNK_BITS = 16
 
-# Depth at which parallel runs split the search tree into root subtrees.
-_SPLIT_DEPTH = 12
+# Longest count run on Python lists: they beat loading numpy up to about
+# n = 18, and numpy once loaded below n = 12; at 16, the `enumerate`
+# default and the table length, both languages take 25 ms on lists.
+_LIST_MAX_N = 16
+
+# Columns per batch; a wider numpy level is never held whole.
+_BATCH_COLUMNS = 1 << 14
 
 _DECODE = str.maketrans("01", "ab")
 
 
 # ---------------------------------------------------------------------------
-# Tree-walk enumeration
+# Level-by-level enumeration
 #
-# A walker yields (depth, state) at every node under ``root`` down to depth
-# ``max_n``, in lexicographic preorder.  The state, one buffer written in
-# place and valid until the walker resumes, holds the path: the walk's
-# stack.  A node descends to its a-child if any, else its b-child; only an
-# a has a next sibling, so after a leaf the deepest a below root turns b.
+# A word with an a-child has a b-child right after it; the others have a
+# b-child only.  A level is a list of rows or an int8 block of columns,
+# one per word, window axis first:
+# - prefix normal: the prefix a-counts P[0..d].  A word takes an a when
+#   P[j] + P[d + 1 - j] > P[d] for j = 1..(d + 1) // 2 (pnf._a_extends).
+# - pre-necklace: the symbols W[1..d] (a = 1, b = 0) after a sentinel
+#   W[0] = a, and the Lyndon prefix-period p.  The child W[d + 1 - p] keeps
+#   p; if that is an a, a b-child with period d + 1 follows.  The empty
+#   word has period 1 and reads the sentinel, so it has both children.
+# int8 holds every count and period up to n = 63, far past what runs.
 
-def _pn_walk(root: str, max_n: int) -> Iterator[tuple[int, list[int]]]:
-    """Prefix normal words; the state is the prefix a-count list, whose
-    entries 0..depth belong to the current word."""
-    depth = top = len(root)
-    prefix = prefix_counts(root) + [0] * (max_n - top)
-    while True:
-        yield depth, prefix
-        if depth < max_n:
-            prefix[depth + 1] = prefix[depth] + _a_extends(prefix, depth)
-            depth += 1
-            continue
-        while depth > top and prefix[depth] == prefix[depth - 1]:
-            depth -= 1
-        if depth == top:
-            return
-        prefix[depth] -= 1
+def _rows(kind: str, level: list, d: int) -> list:
+    """Level d + 1 from level d, as rows of tuples."""
+    if kind == "pn":
+        return [p + (p[d] + a,) for p in level
+                for a in ((1, 0) if _a_extends(p, d) else (0,))]
+    return [c for w, p in level
+            for c in (((w + (1,), p), (w + (0,), d + 1)) if w[d + 1 - p]
+                      else ((w + (0,), p),))]
 
 
-def _pl_walk(root: str, max_n: int) -> Iterator[tuple[int, list[str]]]:
-    """Pre-necklaces; the state is the symbol list, word[1..depth] the
-    current word and word[0] a sentinel a.  word[1..d], with Lyndon
-    prefix-period p = period[d], extends by word[d + 1 - p], keeping p, and
-    if that is an a also by b, with period d + 1.  The empty word has
-    period 1 and reads the sentinel, so it has both children."""
-    depth = top = len(root)
-    word = ["a", *root] + ["a"] * (max_n - top)
-    period = [0] * (max_n + 1)
-    period[top] = _lyndon_prefix_period(root)
-    while True:
-        yield depth, word
-        if depth < max_n:
-            depth += 1
-            word[depth] = word[depth - period[depth - 1]]
-            period[depth] = period[depth - 1]
-            continue
-        while depth > top and word[depth] == "b":
-            depth -= 1
-        if depth == top:
-            return
-        word[depth] = "b"
-        period[depth] = depth
+def _has_a(kind: str, state: tuple, d: int):
+    """Which words of block level d have an a-child."""
+    import numpy as np
+    if kind == "pn":  # rows j and d + 1 - j for j = 1..h against row d
+        (prefix,), h = state, (d + 1) // 2
+        return (prefix[1:h + 1] + prefix[d:d - h:-1] > prefix[d]).all(axis=0)
+    word, period = state
+    return word[d + 1 - period, np.arange(word.shape[1])].view(bool)
 
 
-# kind -> (walker, word of a state at the walker's full depth)
-_WALKS = {"pn": (_pn_walk, word_from_counts),
-          "pl": (_pl_walk, lambda word: "".join(word[1:]))}
+def _grow(kind: str, state: tuple, d: int, has_a) -> tuple:
+    """Block level d + 1 from level d and its a-child mask."""
+    import numpy as np
+    parent = np.repeat(np.arange(len(has_a)), 1 + has_a)
+    is_a = np.append(parent[1:] == parent[:-1], False)  # a b twin follows
+    block = np.take(state[0], parent, axis=1)
+    if kind == "pn":
+        return (np.vstack([block, block[d] + is_a]),)
+    period = state[1][parent]
+    period[1:][is_a[:-1]] = d + 1  # the b twins
+    return np.vstack([block, is_a]), period
 
 
-def _subtree_counts(kind: str, root: str, max_n: int) -> list[int]:
-    """Nodes per depth of the ``kind`` tree under ``root``, root included."""
-    counts = [0] * (max_n + 1)
-    for depth, _ in _WALKS[kind][0](root, max_n):
-        counts[depth] += 1
-    return counts
+def _frontier(kind: str, n: int, state: tuple = (), d: int = 0):
+    """(depth, block state, a-child mask) of level d, by default the root,
+    and of each level below down to n: in column order, batch by batch."""
+    import numpy as np
+    state = state or ((np.zeros((1, 1), np.int8),) if kind == "pn" else
+                      (np.ones((1, 1), np.int8), np.ones(1, np.int8)))
+    has_a = _has_a(kind, state, d)
+    yield d, state, has_a
+    if d < n:
+        child = _grow(kind, state, d, has_a)
+        for lo in range(0, child[0].shape[1], _BATCH_COLUMNS):
+            yield from _frontier(kind, n, tuple(
+                a[..., lo:lo + _BATCH_COLUMNS] for a in child), d + 1)
 
 
 def _words(kind: str, n: int) -> Iterator[str]:
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    walk, decode = _WALKS[kind]
-    for depth, state in walk("", n):
-        if depth == n:
-            yield decode(state)
+    if not 0 <= n <= DEFAULT_COUNT_BOUND:
+        raise ValueError(f"length {n} outside 0..{DEFAULT_COUNT_BOUND}")
+    for d, (block, *_), _ in _frontier(kind, n):
+        if d == n:
+            is_a = block[1:] - block[:-1] if kind == "pn" else block[1:]
+            text = (ord("b") - is_a.T).tobytes().decode("ascii")
+            yield from (text[i * n:(i + 1) * n]
+                        for i in range(block.shape[1]))
 
 
 def iter_prefix_normal(n: int) -> Iterator[str]:
-    """All prefix normal words of length ``n`` in lexicographic order."""
+    """All prefix normal words of length ``n`` in lexicographic order; n
+    above DEFAULT_COUNT_BOUND raises ValueError on the first next."""
     return _words("pn", n)
 
 
 def iter_pre_necklaces(n: int) -> Iterator[str]:
-    """All pre-necklaces of length ``n`` in lexicographic order."""
+    """All pre-necklaces of length ``n`` in lexicographic order; n above
+    DEFAULT_COUNT_BOUND raises ValueError on the first next."""
     return _words("pl", n)
 
 
@@ -144,23 +147,20 @@ def _map_tasks(fn: Callable, tasks: list, jobs: int) -> Iterator:
 
 
 def _tree_counts(kind: str, max_n: int, jobs: int) -> list[int]:
+    """Words per length 0..max_n; ``jobs`` is only validated."""
     _check_jobs(jobs)
-    if jobs == 1 or max_n <= _SPLIT_DEPTH + 1:
-        return _subtree_counts(kind, "", max_n)
-    # one walk of the top counts its nodes and collects the subtree roots
-    walk, decode = _WALKS[kind]
-    counts = [0] * (max_n + 1)
-    roots = []
-    for depth, state in walk("", _SPLIT_DEPTH):
-        if depth < _SPLIT_DEPTH:
-            counts[depth] += 1
-        else:
-            roots.append(decode(state))
-    for part in _map_tasks(partial(_subtree_counts, kind, max_n=max_n),
-                           roots, jobs):
-        for d in range(_SPLIT_DEPTH, max_n + 1):
-            counts[d] += part[d]
-    return counts
+    sizes = [1] + [0] * max_n
+    if max_n <= _LIST_MAX_N:
+        level = [(0,) if kind == "pn" else ((1,), 1)]
+        for d in range(max_n):
+            level = _rows(kind, level, d)
+            sizes[d + 1] = len(level)
+        return sizes
+    import numpy as np
+    # level max_n is only sized, off its parents' a-child masks
+    for d, _, has_a in _frontier(kind, max_n - 1):
+        sizes[d + 1] += len(has_a) + int(np.count_nonzero(has_a))
+    return sizes
 
 
 def _check_count_args(n: int, bound: int) -> None:
@@ -172,14 +172,14 @@ def _check_count_args(n: int, bound: int) -> None:
 
 def count_prefix_normal(n: int, bound: int = DEFAULT_COUNT_BOUND,
                         jobs: int = 1) -> int:
-    """Number of prefix normal words of length ``n`` (tree walk)."""
+    """Number of prefix normal words of length ``n``."""
     _check_count_args(n, bound)
     return _tree_counts("pn", n, jobs)[n]
 
 
 def count_pre_necklaces(n: int, bound: int = DEFAULT_COUNT_BOUND,
                         jobs: int = 1) -> int:
-    """Number of pre-necklaces of length ``n`` (tree walk)."""
+    """Number of pre-necklaces of length ``n``."""
     _check_count_args(n, bound)
     return _tree_counts("pl", n, jobs)[n]
 
@@ -207,19 +207,17 @@ class CountsRow:
 def counts_table(max_n: int, what: str = "both",
                  bound: int = DEFAULT_COUNT_BOUND,
                  jobs: int = 1) -> list[CountsRow]:
-    """CountsRows for n = 1..max_n, one tree walk per selected language.
+    """CountsRows for n = 1..max_n, one tree per selected language.
 
     ``what`` selects "pnf", "prenecklace" or "both".
     """
     if what not in ("pnf", "prenecklace", "both"):
         raise ValueError(f"unknown selection {what!r}")
     _check_count_args(max_n, bound)
-    pn = _tree_counts("pn", max_n, jobs) if what != "prenecklace" else None
-    pl = _tree_counts("pl", max_n, jobs) if what != "pnf" else None
-    return [CountsRow(n,
-                      pn[n] if pn is not None else None,
-                      pl[n] if pl is not None else None)
-            for n in range(1, max_n + 1)]
+    none = [None] * (max_n + 1)
+    pn = _tree_counts("pn", max_n, jobs) if what != "prenecklace" else none
+    pl = _tree_counts("pl", max_n, jobs) if what != "pnf" else none
+    return [CountsRow(n, pn[n], pl[n]) for n in range(1, max_n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +430,13 @@ def verify_tables(expected: TableExpectations | None = None,
             f"max_n must be in 1..{len(exp.prefix_normal_counts)}")
     cells: list[CellCheck] = []
 
-    pn = _tree_counts("pn", limit, jobs)
-    pl = _tree_counts("pl", limit, jobs)
-    for n in range(1, limit + 1):
-        cells.append(CellCheck(f"prefix-normal count n={n}",
-                               exp.prefix_normal_counts[n - 1], pn[n]))
-    for n in range(1, limit + 1):
-        cells.append(CellCheck(f"pre-necklace count n={n}",
-                               exp.pre_necklace_counts[n - 1], pl[n]))
+    for kind, name, counts in (("pn", "prefix-normal",
+                                exp.prefix_normal_counts),
+                               ("pl", "pre-necklace",
+                                exp.pre_necklace_counts)):
+        found = _tree_counts(kind, limit, jobs)
+        cells += [CellCheck(f"{name} count n={n}", counts[n - 1], found[n])
+                  for n in range(1, limit + 1)]
 
     census4 = class_census(4, jobs=jobs)
     cells.append(CellCheck("class count n=4", len(exp.class_sizes_n4),

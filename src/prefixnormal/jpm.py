@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import sub
 
 from .pnf import PnfPair
 from .profiles import OnesProfile, a_count_bounds
@@ -118,10 +119,9 @@ def parikh_set_oracle(w: str, bound: int = DEFAULT_ORACLE_BOUND) -> set[ParikhVe
         raise ValueError(f"word length {n} exceeds oracle bound {bound}")
     pref = prefix_counts(w)
     vectors = {ParikhVector(0, 0)}
-    for start in range(n):
-        for end in range(start + 1, n + 1):
-            a = pref[end] - pref[start]
-            vectors.add(ParikhVector(a, end - start - a))
+    for k in range(1, n + 1):  # every factor of length k, one a-count each
+        vectors.update(ParikhVector(a, k - a)
+                       for a in set(map(sub, pref[k:], pref)))
     return vectors
 
 
@@ -147,6 +147,8 @@ def _load_index(text: str) -> tuple[JumbledIndex, PnfPair]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError("index document nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("index document must be a JSON object")
     version = doc.get("version")

@@ -4,15 +4,21 @@ Everything here works by explicit factor enumeration over string slices or
 by rotation comparison, deliberately avoiding the algorithms under test.
 The cross-check predicates at the end restate prefix normality in other
 terms, and the filter count and Lyndon completion check run the library's
-own predicates over every word.
+own predicates over every word.  The depth-first tree walkers at the end
+enumerate both languages one node at a time, independently of the
+level-by-level frontier the library counts with.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import product
+from typing import Iterator
 
 from prefixnormal import is_lyndon, is_prefix_normal
+from prefixnormal.lyndon import _lyndon_prefix_period
+from prefixnormal.pnf import _a_extends
+from prefixnormal.words import prefix_counts, word_from_counts
 
 
 def words_of_length(n: int):
@@ -153,3 +159,74 @@ def lyndon_completion_check(w: str) -> bool:
     if "a" not in w:
         raise ValueError("word must contain at least one 'a'")
     return is_lyndon(w + "b" * len(w))
+
+
+# ---------------------------------------------------------------------------
+# Tree-walk enumeration
+#
+# A walker yields (depth, state) at every node under ``root`` down to depth
+# ``max_n``, in lexicographic preorder.  The state, one buffer written in
+# place and valid until the walker resumes, holds the path: the walk's
+# stack.  A node descends to its a-child if any, else its b-child; only an
+# a has a next sibling, so after a leaf the deepest a below root turns b.
+
+def pn_walk(root: str, max_n: int) -> Iterator[tuple[int, list[int]]]:
+    """Prefix normal words; the state is the prefix a-count list, whose
+    entries 0..depth belong to the current word."""
+    depth = top = len(root)
+    prefix = prefix_counts(root) + [0] * (max_n - top)
+    while True:
+        yield depth, prefix
+        if depth < max_n:
+            prefix[depth + 1] = prefix[depth] + _a_extends(prefix, depth)
+            depth += 1
+            continue
+        while depth > top and prefix[depth] == prefix[depth - 1]:
+            depth -= 1
+        if depth == top:
+            return
+        prefix[depth] -= 1
+
+
+def pl_walk(root: str, max_n: int) -> Iterator[tuple[int, list[str]]]:
+    """Pre-necklaces; the state is the symbol list, word[1..depth] the
+    current word and word[0] a sentinel a.  word[1..d], with Lyndon
+    prefix-period p = period[d], extends by word[d + 1 - p], keeping p, and
+    if that is an a also by b, with period d + 1.  The empty word has
+    period 1 and reads the sentinel, so it has both children."""
+    depth = top = len(root)
+    word = ["a", *root] + ["a"] * (max_n - top)
+    period = [0] * (max_n + 1)
+    period[top] = _lyndon_prefix_period(root)
+    while True:
+        yield depth, word
+        if depth < max_n:
+            depth += 1
+            word[depth] = word[depth - period[depth - 1]]
+            period[depth] = period[depth - 1]
+            continue
+        while depth > top and word[depth] == "b":
+            depth -= 1
+        if depth == top:
+            return
+        word[depth] = "b"
+        period[depth] = depth
+
+
+# kind -> (walker, word of a state at the walker's full depth)
+WALKS = {"pn": (pn_walk, word_from_counts),
+         "pl": (pl_walk, lambda word: "".join(word[1:]))}
+
+
+def subtree_counts(kind: str, root: str, max_n: int) -> list[int]:
+    """Nodes per depth of the ``kind`` tree under ``root``, root included."""
+    counts = [0] * (max_n + 1)
+    for depth, _ in WALKS[kind][0](root, max_n):
+        counts[depth] += 1
+    return counts
+
+
+def walk_words(kind: str, n: int) -> list[str]:
+    """The words of length ``n`` in the ``kind`` tree, in walk order."""
+    walk, decode = WALKS[kind]
+    return [decode(state) for depth, state in walk("", n) if depth == n]

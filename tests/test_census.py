@@ -11,10 +11,11 @@ from prefixnormal import (ClassCensus, CountsRow, TableExpectations,
                           iter_prefix_normal, max_class_size, reverse,
                           verify_tables)
 from prefixnormal import census
-from prefixnormal.census import CLASS_SIZES_N4, CLASS_SIZES_N8
+from prefixnormal.census import (CLASS_SIZES_N4, CLASS_SIZES_N8,
+                                 DEFAULT_COUNT_BOUND)
 
 from _oracles import (brute_pre_necklaces, count_prefix_normal_by_filter,
-                      words_of_length)
+                      subtree_counts, walk_words, words_of_length)
 
 
 def test_count_prefix_normal_examples():
@@ -176,10 +177,50 @@ def test_subtree_counts_sum_to_serial_counts():
                         ("pl", iter_pre_necklaces(6))):
         total = [0] * 15
         for root in roots:
-            part = census._subtree_counts(kind, root, 14)
+            part = subtree_counts(kind, root, 14)
             assert part[:6] == [0] * 6 and part[6] == 1
             total = [t + c for t, c in zip(total, part)]
         assert total[6:] == census._tree_counts(kind, 14, 1)[6:]
+
+
+def test_frontier_counts_match_walkers(monkeypatch):
+    # lists up to the cutoff and blocks above it, so n < 19 spans both
+    # sides of it; with the cutoff at 0, blocks at every length
+    assert census._LIST_MAX_N + 1 < 19
+    for cut in (census._LIST_MAX_N, 0):
+        monkeypatch.setattr(census, "_LIST_MAX_N", cut)
+        for kind in ("pn", "pl"):
+            for n in range(19):
+                assert census._tree_counts(kind, n, 1) == subtree_counts(
+                    kind, "", n)
+
+
+def test_iterators_match_walkers():
+    cut = census._LIST_MAX_N
+    for kind, words in (("pn", iter_prefix_normal),
+                        ("pl", iter_pre_necklaces)):
+        for n in (*range(15), cut - 1, cut, cut + 1):
+            assert list(words(n)) == walk_words(kind, n)
+
+
+def test_frontier_batches_split_anywhere(monkeypatch):
+    # batches of 7 columns cut across twins and leave short last batches
+    monkeypatch.setattr(census, "_BATCH_COLUMNS", 7)
+    monkeypatch.setattr(census, "_LIST_MAX_N", 0)
+    for kind, words in (("pn", iter_prefix_normal),
+                        ("pl", iter_pre_necklaces)):
+        for n in range(13):
+            assert census._tree_counts(kind, n, 1) == subtree_counts(
+                kind, "", n)
+            assert list(words(n)) == walk_words(kind, n)
+
+
+def test_iterators_reject_lengths_out_of_range():
+    for words in (iter_prefix_normal, iter_pre_necklaces):
+        for n in (-1, DEFAULT_COUNT_BOUND + 1):
+            it = words(n)  # raises on the first next, not on the call
+            with pytest.raises(ValueError, match="length"):
+                next(it)
 
 
 def test_parallel_paths_match_serial():
@@ -244,23 +285,28 @@ def test_jobs_clamped_to_cpus_and_tasks(monkeypatch, pool_sizes):
     sizes = pool_sizes
     monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
     assert count_prefix_normal(14, jobs=1000) == 2279
-    assert sizes == [3]                      # cpu count: 697 root tasks
+    serial = class_census(18).classes
+    assert class_census(18, jobs=1000).classes == serial
+    assert sizes == [3]                      # cpu count: 4 chunks
     assert class_census(17, jobs=1000).classes == class_census(17).classes
     assert sizes == [3, 2]                   # task count: 2 chunks
     monkeypatch.setattr(census.os, "cpu_count", lambda: None)
     assert count_pre_necklaces(14, jobs=8) == 2538
+    assert class_census(18, jobs=8).classes == serial
     assert sizes == [3, 2]                   # unknown cpu count: serial
 
 
 def test_split_paths_match_serial_in_process(monkeypatch, pool_sizes):
+    # counting runs in this process whatever jobs says
     monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
-    assert count_pre_necklaces(14, jobs=2) == count_pre_necklaces(14)
-    assert pool_sizes == [2]
-    # the one walk of the top tree gives the counts above the split too
     for kind in ("pn", "pl"):
-        assert (census._tree_counts(kind, 14, 2)
-                == census._tree_counts(kind, 14, 1))
-    assert pool_sizes == [2, 2, 2]
+        for n in (14, 18):
+            assert (census._tree_counts(kind, n, 2)
+                    == census._tree_counts(kind, n, 1))
+    assert count_pre_necklaces(14, jobs=2) == count_pre_necklaces(14)
+    assert pool_sizes == []
+    assert verify_tables(max_n=16, jobs=2).all_ok
+    assert pool_sizes == []
 
 
 @pytest.mark.parametrize("jobs", [0, -5])

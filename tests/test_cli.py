@@ -155,6 +155,16 @@ def test_index_errors(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("command", ["query", "pnf"])
+def test_deeply_nested_index_is_usage_error(capsys, tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    extra = ["1", "1"] if command == "query" else []
+    code, out, err = run(capsys, "index", command, str(deep), *extra)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: index document nested too deeply"]
+
+
 def test_classify_json(capsys):
     code, out, _ = run(capsys, "classify", "abab")
     assert code == 0

@@ -194,6 +194,13 @@ def test_json_rejects_malformed():
                         ' "minA": [0, 0]}')
 
 
+def test_json_rejects_deep_nesting():
+    # the parser gives up with RecursionError; it must read as bad input
+    for text in ("[" * 100_000, '{"n": ' * 100_000):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            index_from_json(text)
+
+
 @pytest.mark.parametrize("fields", [
     '"version": 1, "n": 1, "maxA": 5, "minA": [0, 0]',
     '"version": 1, "n": 1, "maxA": [0, 1], "minA": "00"',
