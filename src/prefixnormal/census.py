@@ -7,19 +7,19 @@ which keeps each level in lexicographic order.  Counts up to n = 16 run
 on Python lists; longer ones and the iterators grow int8 numpy blocks.
 
 The class census groups all 2^n words of a length by their prefix normal
-form.  It streams the words in fixed-size chunks (vectorized profile
-computation per chunk, hash-keyed counters across chunks) so memory stays
-flat, and can spread chunks over worker processes.  Parallel runs use at
-most one worker per cpu and per task.  Reference data for the
-known count/class tables is frozen here and re-derived by verify_tables.
+form: it streams the words in fixed-size chunks, one vectorized pass per
+chunk, into one array of class sizes indexed by word code, and decodes
+representatives to words only for output.  ``jobs`` is only validated:
+every command runs in this process.  Reference data for the known
+count/class tables is frozen here and re-derived by verify_tables.
 """
 
 from __future__ import annotations
 
-import os
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial, reduce
-from typing import Callable, Iterator
+from functools import reduce
+from typing import Iterator
 
 from .pnf import _a_extends, is_prefix_normal
 from .profiles import _count_dtype, window_max
@@ -36,10 +36,8 @@ _CHUNK_BITS = 16
 # default and the table length, both languages take 25 ms on lists.
 _LIST_MAX_N = 16
 
-# Columns per batch; a wider numpy level is never held whole.
+# Columns per batch: of a numpy level, never held whole, or of decoded words.
 _BATCH_COLUMNS = 1 << 14
-
-_DECODE = str.maketrans("01", "ab")
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +102,22 @@ def _frontier(kind: str, n: int, state: tuple = (), d: int = 0):
                 a[..., lo:lo + _BATCH_COLUMNS] for a in child), d + 1)
 
 
+def _texts(is_a) -> list[str]:
+    """The words spelled by the 0/1 rows of ``is_a``, 1 for a."""
+    import numpy as np
+    m, n = is_a.shape
+    letters = (ord("b") - is_a).astype(np.uint8, copy=False)
+    text = letters.tobytes().decode("ascii")
+    return [text[i * n:(i + 1) * n] for i in range(m)]
+
+
 def _words(kind: str, n: int) -> Iterator[str]:
     if not 0 <= n <= DEFAULT_COUNT_BOUND:
         raise ValueError(f"length {n} outside 0..{DEFAULT_COUNT_BOUND}")
     for d, (block, *_), _ in _frontier(kind, n):
         if d == n:
-            is_a = block[1:] - block[:-1] if kind == "pn" else block[1:]
-            text = (ord("b") - is_a.T).tobytes().decode("ascii")
-            yield from (text[i * n:(i + 1) * n]
-                        for i in range(block.shape[1]))
+            yield from _texts((block[1:] - block[:-1] if kind == "pn"
+                               else block[1:]).T)
 
 
 def iter_prefix_normal(n: int) -> Iterator[str]:
@@ -130,20 +135,6 @@ def iter_pre_necklaces(n: int) -> Iterator[str]:
 def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-
-
-def _map_tasks(fn: Callable, tasks: list, jobs: int) -> Iterator:
-    """fn over ``tasks`` in order, on at most as many worker processes as
-    ``jobs``, cpus and tasks; in this process when that is one."""
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
-    if workers <= 1:
-        yield from map(fn, tasks)
-        return
-    # imported here: the pool loads multiprocessing, unused by serial runs
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, tasks,
-                            chunksize=max(1, len(tasks) // (workers * 4)))
 
 
 def _tree_counts(kind: str, max_n: int, jobs: int) -> list[int]:
@@ -240,19 +231,28 @@ def _pnf_codes(n: int, start: int, stop: int):
     return reduce(lambda code, step: 2 * code + 1 - step, steps, codes)
 
 
-def _census_chunk(n: int, bounds: tuple[int, int]) -> dict[int, int]:
-    import numpy as np
-    uniq, cnt = np.unique(_pnf_codes(n, *bounds), return_counts=True)
-    return dict(zip(uniq.tolist(), cnt.tolist()))
-
-
-def _decode(code: int, n: int) -> str:
-    return format(code, f"0{n}b").translate(_DECODE)
-
-
 def _chunk_ranges(n: int) -> list[tuple[int, int]]:
     size = 1 << min(n, _CHUNK_BITS)
     return [(s, min(s + size, 1 << n)) for s in range(0, 1 << n, size)]
+
+
+def _classes(n: int) -> tuple:
+    """The representatives' codes, in lexicographic order, and the class
+    sizes; the array of 2^n sizes is freed before a word is decoded."""
+    import numpy as np
+    sizes = np.zeros(1 << n, dtype=np.int32)
+    for lo, hi in _chunk_ranges(n):
+        codes, counts = np.unique(_pnf_codes(n, lo, hi), return_counts=True)
+        sizes[codes] += counts
+    reps = np.flatnonzero(sizes)
+    return reps, sizes[reps]
+
+
+def _code_texts(codes, n: int) -> list[str]:
+    """The words of length ``n`` with these codes (see _pnf_codes)."""
+    import numpy as np
+    a_bytes = (~codes).astype(">u8").view(np.uint8).reshape(-1, 8)
+    return _texts(np.unpackbits(a_bytes, axis=1)[:, 64 - n:])
 
 
 @dataclass
@@ -274,10 +274,7 @@ class ClassCensus:
 
     def histogram(self) -> dict[int, int]:
         """How many classes have each cardinality."""
-        hist: dict[int, int] = {}
-        for size in self.classes.values():
-            hist[size] = hist.get(size, 0) + 1
-        return dict(sorted(hist.items()))
+        return dict(sorted(Counter(self.classes.values()).items()))
 
     def max_class_size(self) -> int:
         return max(self.classes.values())
@@ -296,21 +293,21 @@ def class_census(n: int, bound: int = DEFAULT_CENSUS_BOUND,
     """Group all 2^n words of length ``n`` by prefix normal form."""
     _check_census_args(n, bound)
     _check_jobs(jobs)
-    if n == 0:
-        return ClassCensus(0, {"": 1}, 1)
-    acc: dict[int, int] = {}
-    for part in _map_tasks(partial(_census_chunk, n), _chunk_ranges(n),
-                           jobs):
-        for code, cnt in part.items():
-            acc[code] = acc.get(code, 0) + cnt
-    return ClassCensus(
-        n, {_decode(code, n): acc[code] for code in sorted(acc)}, 1 << n)
+    reps, sizes = _classes(n)
+    classes: dict[str, int] = {}
+    for lo in range(0, len(reps), _BATCH_COLUMNS):
+        hi = lo + _BATCH_COLUMNS
+        classes.update(zip(_code_texts(reps[lo:hi], n),
+                           sizes[lo:hi].tolist()))
+    return ClassCensus(n, classes, 1 << n)
 
 
 def max_class_size(n: int, bound: int = DEFAULT_CENSUS_BOUND,
                    jobs: int = 1) -> int:
     """Largest class cardinality in the length-``n`` census."""
-    return class_census(n, bound=bound, jobs=jobs).max_class_size()
+    _check_census_args(n, bound)
+    _check_jobs(jobs)
+    return int(_classes(n)[1].max())
 
 
 def class_members(pnf: str, bound: int = DEFAULT_CENSUS_BOUND) -> list[str]:
@@ -318,19 +315,15 @@ def class_members(pnf: str, bound: int = DEFAULT_CENSUS_BOUND) -> list[str]:
 
     ``pnf`` must itself be prefix normal (it is its class representative).
     """
+    n = len(pnf)
+    _check_census_args(n, bound)  # before a kernel pass over a long word
     if not is_prefix_normal(pnf):
         raise ValueError(f"{pnf!r} is not prefix normal")
-    n = len(pnf)
-    _check_census_args(n, bound)
-    if n == 0:
-        return [""]
-    target = int(pnf.replace("a", "0").replace("b", "1"), 2)
-    members = []
-    for lo, hi in _chunk_ranges(n):
-        codes = _pnf_codes(n, lo, hi)
-        for word_code in (codes == target).nonzero()[0]:
-            members.append(_decode(lo + int(word_code), n))
-    return members
+    import numpy as np
+    target = int("0" + pnf.replace("a", "0").replace("b", "1"), 2)
+    return _code_texts(np.concatenate([
+        lo + np.flatnonzero(_pnf_codes(n, lo, hi) == target)
+        for lo, hi in _chunk_ranges(n)]), n)
 
 
 # ---------------------------------------------------------------------------

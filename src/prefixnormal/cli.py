@@ -171,6 +171,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classes(args) -> int:
+    census._check_jobs(args.jobs)
     if args.members is not None:
         rep = parse_word(args.members, args.alphabet)
         if args.n is not None and args.n != len(rep):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 import random
 
 import pytest
@@ -106,16 +107,19 @@ def test_class_census_n8_table():
                                   7: 1, 8: 4, 9: 1, 10: 1}
 
 
-def test_census_against_per_word_grouping():
+def test_census_against_per_word_grouping(monkeypatch):
     # the vectorized census must match a plain dictionary census built by
-    # running the normal-form constructor on every word
-    for n in range(9):
-        expected = {}
-        for w in words_of_length(n):
-            expected[build_pnf_a(w)] = expected.get(build_pnf_a(w), 0) + 1
-        census = class_census(n)
-        assert census.classes == expected
-        assert census.total_words == 2 ** n
+    # running the normal-form constructor on every word; batches of 7
+    # representatives split the decoding anywhere
+    for batch in (census._BATCH_COLUMNS, 7):
+        monkeypatch.setattr(census, "_BATCH_COLUMNS", batch)
+        for n in range(9):
+            expected = {}
+            for w in words_of_length(n):
+                expected[build_pnf_a(w)] = expected.get(build_pnf_a(w), 0) + 1
+            result = class_census(n)
+            assert result.classes == expected
+            assert result.total_words == 2 ** n
 
 
 def _packed_pnf(n, code):
@@ -163,6 +167,23 @@ def test_max_class_size_examples():
     assert max_class_size(1) == 1
     assert max_class_size(7) == 8
     assert max_class_size(10) == 18
+
+
+def test_max_class_size_matches_census():
+    for n in range(13):
+        assert max_class_size(n) == max(class_census(n).classes.values())
+
+
+def test_class_members_across_chunks():
+    # n = 17 takes two chunks: the words starting with a, then with b
+    assert len(census._chunk_ranges(17)) == 2
+    rep = build_pnf_a("bbaababaabbabaaba")
+    members = class_members(rep)
+    assert {m[0] for m in members} == {"a", "b"}
+    # a normal form keeps the letter counts: the word is its own factor
+    assert members == [w for w in words_of_length(17)
+                       if w.count("a") == rep.count("a")
+                       and build_pnf_a(w) == rep]
 
 
 def test_class_census_validation():
@@ -282,23 +303,24 @@ def pool_sizes(monkeypatch):
 
 
 def test_jobs_clamped_to_cpus_and_tasks(monkeypatch, pool_sizes):
+    # every count and census runs in this process whatever jobs says
     sizes = pool_sizes
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert count_prefix_normal(14, jobs=1000) == 2279
     serial = class_census(18).classes
     assert class_census(18, jobs=1000).classes == serial
-    assert sizes == [3]                      # cpu count: 4 chunks
+    assert sizes == []                       # 4 chunks
     assert class_census(17, jobs=1000).classes == class_census(17).classes
-    assert sizes == [3, 2]                   # task count: 2 chunks
-    monkeypatch.setattr(census.os, "cpu_count", lambda: None)
+    assert sizes == []                       # 2 chunks
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert count_pre_necklaces(14, jobs=8) == 2538
     assert class_census(18, jobs=8).classes == serial
-    assert sizes == [3, 2]                   # unknown cpu count: serial
+    assert sizes == []                       # unknown cpu count
 
 
 def test_split_paths_match_serial_in_process(monkeypatch, pool_sizes):
     # counting runs in this process whatever jobs says
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for kind in ("pn", "pl"):
         for n in (14, 18):
             assert (census._tree_counts(kind, n, 2)

@@ -306,6 +306,8 @@ def test_suffix_paths_bound(capsys, monkeypatch, tmp_path):
     ["enumerate", "--max-n", "16", "--jobs", "-5"],
     ["classes", "--n", "4", "--jobs", "-5"],
     ["verify-tables", "--max-n", "2", "--jobs", "0"],
+    ["classes", "--members", "abba", "--jobs", "0"],
+    ["classes", "--members", "abba", "--jobs", "-3", "--format", "json"],
 ])
 def test_jobs_below_one_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -321,6 +323,19 @@ def test_short_commands_leave_numpy_unloaded():
               "assert cli.main(['enumerate', '--max-n', '1']) == 0\n"
               "print('numpy' in sys.modules)\n"
               "print('concurrent.futures.process' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["False", "False"]
+
+
+def test_census_starts_no_process():
+    src = str(Path(prefixnormal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = ("import sys, prefixnormal.cli as cli\n"
+              "assert cli.main(['classes', '--n', '17', '--jobs', '2']) == 0\n"
+              "print('concurrent.futures.process' in sys.modules)\n"
+              "print('multiprocessing' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,10 @@
+import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prefixnormal import (JumbledIndex, OnesProfile, PnfPair, build_index,
                           index_from_json, index_from_pnf, index_to_json,
@@ -213,3 +216,47 @@ def test_json_rejects_deep_nesting():
 def test_json_rejects_wrong_field_types(fields):
     with pytest.raises(ValueError):
         index_from_json("{" + fields + "}")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=12)
+
+# right field names and types, values unchecked
+_INDEX_SHAPED = st.fixed_dictionaries({
+    "version": st.just(1), "n": st.integers(-1, 6),
+    "maxA": st.lists(st.integers(-1, 6), max_size=7),
+    "minA": st.lists(st.integers(-1, 6), max_size=7)})
+
+
+@st.composite
+def _near_index_docs(draw):
+    """A real index document, whole or with one field dropped, replaced
+    or nudged."""
+    doc = json.loads(index_to_json(build_index(
+        draw(st.text("ab", max_size=10)))))
+    key = draw(st.sampled_from(sorted(doc)))
+    edit = draw(st.sampled_from(("keep", "drop", "replace", "nudge")))
+    if edit == "keep":
+        pass
+    elif edit == "drop":
+        del doc[key]
+    elif edit == "replace":
+        doc[key] = draw(_JSON_VALUES)
+    elif isinstance(doc[key], list):
+        doc[key][draw(st.integers(0, len(doc[key]) - 1))] += draw(
+            st.sampled_from((-1, 1)))
+    else:
+        doc[key] += draw(st.sampled_from((-1, 1)))
+    return doc
+
+
+@given(st.one_of(_JSON_VALUES, _INDEX_SHAPED, _near_index_docs()))
+def test_json_loader_gives_an_index_or_value_error(doc):
+    try:
+        ix = index_from_json(json.dumps(doc))
+    except ValueError:
+        return
+    assert isinstance(ix, JumbledIndex)

@@ -246,3 +246,29 @@ def test_one_kernel_call_per_word_and_per_chunk(monkeypatch, capsys,
         assert kernel_calls(cli.main, ["index", "query", index_file,
                                        "3", "2"]) == 1
     capsys.readouterr()
+
+
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """The number of rows of each kernel call made while the test runs."""
+    calls = []
+    kernel = profiles.window_max
+
+    def counted(rows):
+        calls.append(len(rows))
+        return kernel(rows)
+
+    for module in (census, cli, geometry, jpm, pnf, profiles):
+        if hasattr(module, "window_max"):
+            monkeypatch.setattr(module, "window_max", counted)
+    return calls
+
+
+def test_members_bound_checked_before_the_kernel(capsys, kernel_rows):
+    word = "b" + "a" * 5000  # not prefix normal
+    assert cli.main(["classes", "--members", word]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: length 5001 exceeds the census bound")
+    assert word not in err and len(err) < 100
+    assert kernel_rows == []
