@@ -431,20 +431,13 @@ def verify_tables(expected: TableExpectations | None = None,
         cells += [CellCheck(f"{name} count n={n}", counts[n - 1], found[n])
                   for n in range(1, limit + 1)]
 
-    census4 = class_census(4, jobs=jobs)
-    cells.append(CellCheck("class count n=4", len(exp.class_sizes_n4),
-                           len(census4.classes)))
-    for rep, size in sorted(exp.class_sizes_n4.items()):
-        cells.append(CellCheck(f"class size n=4 {rep}", size,
-                               census4.classes.get(rep)))
-
-    census8 = class_census(8, jobs=jobs)
-    cells.append(CellCheck("class count n=8", len(exp.class_sizes_n8),
-                           len(census8.classes)))
-    for rep, size in sorted(exp.class_sizes_n8.items()):
-        cells.append(CellCheck(f"class size n=8 {rep}", size,
-                               census8.classes.get(rep)))
-    hist = census8.histogram()
+    for n, sizes in ((4, exp.class_sizes_n4), (8, exp.class_sizes_n8)):
+        result = class_census(n, jobs=jobs)
+        found = result.classes
+        cells.append(CellCheck(f"class count n={n}", len(sizes), len(found)))
+        cells += [CellCheck(f"class size n={n} {rep}", size, found.get(rep))
+                  for rep, size in sorted(sizes.items())]
+    hist = result.histogram()  # the n = 8 census, the loop's last
     for size, classes in sorted(exp.class_histogram_n8.items()):
         cells.append(CellCheck(f"class histogram n=8 size={size}", classes,
                                hist.get(size)))

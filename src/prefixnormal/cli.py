@@ -46,15 +46,12 @@ def _each_word(args, handle) -> int:
 
 def _columns_table(rows: list[tuple[str, list[object]]]) -> str:
     """Rows of (label, cells) printed as aligned columns."""
-    labels = [label for label, _ in rows]
-    label_w = max(len(s) for s in labels)
-    widths = [max(len(str(row[1][i])) for row in rows)
-              for i in range(len(rows[0][1]))]
-    lines = []
-    for label, cells in rows:
-        cols = "  ".join(str(c).rjust(w) for c, w in zip(cells, widths))
-        lines.append(f"{label.ljust(label_w)}  {cols}")
-    return "\n".join(lines)
+    label_w = max(len(label) for label, _ in rows)
+    table = [list(map(str, cells)) for _, cells in rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "\n".join(
+        f"{label.ljust(label_w)}  {'  '.join(map(str.rjust, row, widths))}"
+        for (label, _), row in zip(rows, table))
 
 
 def cmd_pnf(args) -> int:
@@ -181,8 +178,7 @@ def cmd_classes(args) -> int:
         if args.format == "json":
             print(json.dumps({"pnf": rep, "members": members}))
         else:
-            for m in members:
-                print(m)
+            sys.stdout.writelines(f"{m}\n" for m in members)
         return 0
     if args.n is None:
         raise ValueError("either --n or --members is required")
@@ -194,12 +190,12 @@ def cmd_classes(args) -> int:
                                 for k, v in result.histogram().items()}
         print(json.dumps(doc))
         return 0
-    for rep, size in result.classes.items():
-        print(f"{rep} {size}")
+    sys.stdout.writelines(f"{rep} {size}\n"
+                          for rep, size in result.classes.items())
     if args.histogram:
         print("size classes")
-        for size, count in result.histogram().items():
-            print(f"{size} {count}")
+        sys.stdout.writelines(f"{size} {count}\n"
+                              for size, count in result.histogram().items())
     return 0
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .profiles import a_count_bounds
+from .profiles import _trusted, a_count_bounds
 from .words import ParikhVector, prefix_counts
 
 RENDER_BOUND = 10_000
@@ -137,10 +137,9 @@ class RegionProfile:
 def region(w: str) -> RegionProfile:
     """Factor region of ``w`` bounded by the two normal-form paths."""
     max_a, min_a = a_count_bounds(w)
-    return RegionProfile(
-        upper=tuple(2 * v - k for k, v in enumerate(max_a)),
-        lower=tuple(2 * v - k for k, v in enumerate(min_a)),
-    )
+    return _trusted(RegionProfile,
+                    upper=tuple(2 * v - k for k, v in enumerate(max_a)),
+                    lower=tuple(2 * v - k for k, v in enumerate(min_a)))
 
 
 def region_csv(w: str) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import sub
 
 from .pnf import PnfPair
-from .profiles import OnesProfile, a_count_bounds
+from .profiles import OnesProfile, _trusted, a_count_bounds
 from .words import ParikhVector, prefix_counts, word_from_counts
 
 INDEX_FORMAT_VERSION = 1
@@ -56,8 +56,11 @@ class JumbledIndex:
 def build_index(w: str) -> JumbledIndex:
     """Index ``w`` for Parikh-vector occurrence queries."""
     max_a, min_a = a_count_bounds(w)
-    return JumbledIndex(len(w), OnesProfile("max-a", tuple(max_a)),
-                        OnesProfile("min-a", tuple(min_a)))
+    return _trusted(JumbledIndex, n=len(w),
+                    max_a=_trusted(OnesProfile, kind="max-a",
+                                   values=tuple(max_a)),
+                    min_a=_trusted(OnesProfile, kind="min-a",
+                                   values=tuple(min_a)))
 
 
 def query(ix: JumbledIndex, q: tuple[int, int]) -> bool:

@@ -22,10 +22,9 @@ from .pnf import is_prefix_normal
 
 def is_lyndon(w: str) -> bool:
     """True iff ``w`` is nonempty and strictly smaller than every proper
-    nonempty suffix.  Empty words are not Lyndon by convention."""
-    if not w:
-        return False
-    return all(w < w[i:] for i in range(1, len(w)))
+    nonempty suffix, that is a pre-necklace whose Lyndon prefix-period is
+    its whole length.  Empty words are not Lyndon by convention."""
+    return bool(w) and _lyndon_prefix_period(w) == len(w)
 
 
 def _lyndon_prefix_period(w: str) -> int:
@@ -73,10 +72,12 @@ class WordClass:
 
 
 def classify(w: str) -> WordClass:
-    """Classify ``w`` against all four predicates."""
+    """Classify ``w`` against all four predicates; the three Lyndon bits
+    come from one scan."""
+    p = _lyndon_prefix_period(w)
     return WordClass(
-        is_lyndon=is_lyndon(w),
-        is_necklace=is_necklace(w),
-        is_pre_necklace=is_pre_necklace(w),
+        is_lyndon=bool(w) and p == len(w),
+        is_necklace=bool(w) and p > 0 and len(w) % p == 0,
+        is_pre_necklace=not w or p > 0,
         is_prefix_normal=is_prefix_normal(w),
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .profiles import a_count_bounds, max_a_profile, window_max
+from .profiles import _trusted, a_count_bounds, max_a_profile, window_max
 from .words import (a_positions, complement, complement_counts, prefix_counts,
                     word_from_counts)
 
@@ -65,13 +65,6 @@ class PnfPair:
         if max_b != b_counts:
             raise ValueError(f"{self.pnf_b!r} is not prefix normal (b-side)")
 
-    @classmethod
-    def _trusted(cls, pnf_a: str, pnf_b: str) -> PnfPair:
-        """A pair known to be valid, built without re-checking it."""
-        pair = object.__new__(cls)
-        pair.__dict__.update(pnf_a=pnf_a, pnf_b=pnf_b)
-        return pair
-
     @property
     def source_length(self) -> int:
         return len(self.pnf_a)
@@ -81,7 +74,8 @@ def pnf_pair(w: str) -> PnfPair:
     """Both normal forms of ``w`` from one kernel call; prefix normal by
     construction, so the pair skips PnfPair's check."""
     max_a, min_a = a_count_bounds(w)
-    return PnfPair._trusted(word_from_counts(max_a), word_from_counts(min_a))
+    return _trusted(PnfPair, pnf_a=word_from_counts(max_a),
+                    pnf_b=word_from_counts(min_a))
 
 
 def _is_normal_by_positions(w: str) -> bool:

@@ -23,6 +23,7 @@ ALPHABET_MAPS = {
 }
 
 _COMPLEMENT = str.maketrans("ab", "ba")
+_A_ONES = bytes.maketrans(b"ab", b"\1\0")
 
 
 class ParseError(ValueError):
@@ -83,7 +84,7 @@ def prefix_counts(w: str) -> list[int]:
     """
     if w.count("a") + w.count("b") != len(w):
         parse_word(w)  # raises ParseError at the first foreign symbol
-    return list(accumulate((ch == "a" for ch in w), initial=0))
+    return list(accumulate(w.encode().translate(_A_ONES), initial=0))
 
 
 def complement_counts(counts: Sequence[int]) -> list[int]:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from prefixnormal import (WordClass, classify, is_lyndon, is_necklace,
@@ -5,7 +7,7 @@ from prefixnormal import (WordClass, classify, is_lyndon, is_necklace,
 
 from _oracles import (brute_is_lyndon, brute_is_prefix_normal,
                       brute_pre_necklaces, lyndon_completion_check,
-                      words_of_length, words_up_to)
+                      random_word, words_of_length, words_up_to)
 
 
 def test_is_lyndon_examples():
@@ -19,6 +21,14 @@ def test_is_lyndon_examples():
 def test_is_lyndon_against_rotation_oracle():
     for w in words_up_to(12):
         assert is_lyndon(w) == brute_is_lyndon(w)
+    # seeded words, their least rotations (mostly Lyndon) and the squares
+    # of those (necklaces that are not Lyndon)
+    rng = random.Random(1805)
+    for _ in range(100):
+        w = random_word(rng, rng.randint(1, 150))
+        least = min(w[i:] + w[:i] for i in range(len(w)))
+        for u in (w, least, least * 2):
+            assert is_lyndon(u) == brute_is_lyndon(u)
 
 
 def test_is_pre_necklace_examples():

@@ -199,6 +199,26 @@ def test_profile_validation_rejects_bad_arrays():
         OnesProfile("median", (0, 1))
 
 
+def test_trusted_builds_pass_the_public_checks():
+    # The builders skip the constructors' checks; rebuilding each value
+    # through its public constructor must accept it and give it back.
+    rng = random.Random(2408)
+    words = list(words_up_to(10)) + [random_word(rng, n)
+                                     for n in (63, 64, 300, 2000)]
+    for w in words:
+        for prof in (max_a_profile(w), max_b_profile(w), min_a_profile(w)):
+            assert OnesProfile(prof.kind, prof.values) == prof
+        ix = build_index(w)
+        rebuilt = jpm.JumbledIndex(
+            ix.n, OnesProfile(ix.max_a.kind, ix.max_a.values),
+            OnesProfile(ix.min_a.kind, ix.min_a.values))
+        assert rebuilt == ix
+        pair = pnf_pair(w)
+        assert PnfPair(pair.pnf_a, pair.pnf_b) == pair
+        reg = region(w)
+        assert geometry.RegionProfile(reg.upper, reg.lower) == reg
+
+
 def test_one_kernel_call_per_word_and_per_chunk(monkeypatch, capsys,
                                                tmp_path):
     calls = []
