@@ -10,7 +10,8 @@ The pre-necklace and necklace tests run the standard O(n) incremental scan
 that maintains p, the length of the Lyndon prefix-period: scanning left to
 right, each symbol is compared against the symbol p positions back; a
 smaller symbol kills the word, a larger one extends the period to the
-current position, an equal one keeps it.
+current position, an equal one keeps it.  Every classifier raises
+ParseError at the first symbol other than a or b.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pnf import is_prefix_normal
+from .words import parse_word
 
 
 def is_lyndon(w: str) -> bool:
@@ -30,6 +32,7 @@ def is_lyndon(w: str) -> bool:
 def _lyndon_prefix_period(w: str) -> int:
     """Length of the Lyndon prefix-period of a pre-necklace, 0 if ``w``
     is not a pre-necklace."""
+    parse_word(w)  # raises ParseError at the first foreign symbol
     p = 1
     for t in range(2, len(w) + 1):
         prev = w[t - 1 - p]

@@ -10,9 +10,10 @@ All come from one kernel over a batch of prefix-count rows: a word's a-
 and b-counts are a batch of two, a census chunk a batch of 2^16 words.
 Short single words take a plain per-length sliding window, O(n^2).  Long
 words and batches slide windows only from the starts of runs, since a
-best window can always be moved onto a run start or onto a suffix: one
-vectorized pass per run start, O(n * rho) for a word with rho runs, over
-a block stored window axis first in the narrowest signed dtype holding n.
+best window can always be moved onto a run start or onto a suffix:
+O(n * rho) for a word with rho runs, in vectorized passes over as many
+run starts as fit a fixed element budget (one for a census chunk), on a
+block stored window axis first in the narrowest signed dtype holding n.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .words import complement, complement_counts, prefix_counts
 
 # Below this length the plain-Python slide beats numpy's per-call overhead.
 _VECTOR_CUTOFF = 64
+_BLOCK_BUDGET = 1 << 16  # elements _slide gathers per pass
 
 _KINDS = ("max-a", "min-a", "max-b")
 
@@ -95,14 +97,29 @@ def _slide(q):
     one.  A best window that starts on a 0-step and is not a suffix slides
     right without losing count; one that starts on a 1-step after another
     1-step slides left without losing count.  So the suffixes and the
-    windows from the starts of 1-runs, in any column, reach every max."""
+    windows from the starts of 1-runs, in any column, reach every max.
+    A pass reduces the next max(1, _BLOCK_BUDGET // (L * m)) starts, L
+    windows each, read from win[s, k] = q[s + k] over q padded below with
+    -1: a padded window's -1 - q[s] >= -1 - n fits and never wins."""
     import numpy as np
     q = np.ascontiguousarray(q, _count_dtype(len(q) - 1)).reshape(len(q), -1)
+    n1, m = q.shape
     out = q[-1] - q[::-1]
     steps = np.diff(q, axis=0)
     steps[1:] &= 1 - steps[:-1]  # keep the first step of each 1-run
-    for s in np.flatnonzero(steps.any(axis=1)).tolist():
-        np.maximum(out[:len(q) - s], q[s:] - q[s], out=out[:len(q) - s])
+    starts = np.flatnonzero(steps.any(axis=1))
+    i, win = 0, None
+    while i < len(starts):
+        L = n1 - int(starts[i])
+        block = starts[i:i + max(1, _BLOCK_BUDGET // (L * m))]
+        i += len(block)
+        if len(block) > 1 and win is None:
+            pad = np.concatenate((q, np.full((n1 - 1, m), -1, q.dtype)))
+            win = np.ndarray((n1, *q.shape), q.dtype, pad,
+                             strides=(pad.strides[0], *pad.strides))
+        # a pass's temporary is freed in the call, so the next pass reuses it
+        np.maximum(out[:L], (win[block, :L] - q[block, None]).max(axis=0)
+                   if len(block) > 1 else q[-L:] - q[-L], out=out[:L])
     return out
 
 

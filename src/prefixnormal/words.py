@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import accumulate
+from operator import sub
 from typing import NamedTuple
 
 ALPHABET = "ab"
@@ -24,6 +25,7 @@ ALPHABET_MAPS = {
 
 _COMPLEMENT = str.maketrans("ab", "ba")
 _A_ONES = bytes.maketrans(b"ab", b"\1\0")
+_STEPS_AB = bytes.maketrans(b"\1\0", b"ab")
 
 
 class ParseError(ValueError):
@@ -60,15 +62,13 @@ def parse_word(text: str, alphabet: str = "ab") -> str:
     except KeyError:
         raise ValueError(f"unknown alphabet {alphabet!r}; expected one of "
                          f"{sorted(ALPHABET_MAPS)}") from None
-    out = []
-    for i, ch in enumerate(text, start=1):
-        sym = mapping.get(ch)
-        if sym is None:
-            raise ParseError(
-                f"invalid character {ch!r} at position {i} "
-                f"(alphabet {alphabet!r})", i)
-        out.append(sym)
-    return "".join(out)
+    if sum(map(text.count, mapping)) != len(text):
+        for i, ch in enumerate(text, start=1):
+            if ch not in mapping:
+                raise ParseError(
+                    f"invalid character {ch!r} at position {i} "
+                    f"(alphabet {alphabet!r})", i)
+    return text.translate(str.maketrans(mapping))
 
 
 def parikh(w: str) -> ParikhVector:
@@ -82,9 +82,8 @@ def prefix_counts(w: str) -> list[int]:
 
     Raises ParseError at the first symbol other than a or b.
     """
-    if w.count("a") + w.count("b") != len(w):
-        parse_word(w)  # raises ParseError at the first foreign symbol
-    return list(accumulate(w.encode().translate(_A_ONES), initial=0))
+    return list(accumulate(parse_word(w).encode().translate(_A_ONES),
+                           initial=0))
 
 
 def complement_counts(counts: Sequence[int]) -> list[int]:
@@ -94,8 +93,7 @@ def complement_counts(counts: Sequence[int]) -> list[int]:
 
 def word_from_counts(counts: Sequence[int]) -> str:
     """The word with prefix a-counts ``counts``: inverse of prefix_counts."""
-    return "".join("a" if counts[k] > counts[k - 1] else "b"
-                   for k in range(1, len(counts)))
+    return bytes(map(sub, counts[1:], counts)).translate(_STEPS_AB).decode()
 
 
 def prefix_count(w: str, i: int) -> int:

@@ -64,6 +64,18 @@ def brute_window_max(rows) -> list[list[int]]:
              for k in range(len(p))] for p in rows]
 
 
+def scan_window_max(rows) -> list[list[int]]:
+    """brute_window_max with each length's windows scanned by one int64
+    numpy reduction, for words too long for the pure-Python scan."""
+    import numpy as np
+    out = []
+    for p in rows:
+        q = np.asarray(p, dtype=np.int64)
+        out.append([0, *(int((q[k:] - q[:-k]).max())
+                         for k in range(1, len(q)))])
+    return out
+
+
 def brute_is_prefix_normal(w: str) -> bool:
     return all(f.count("a") <= w[:len(f)].count("a") for f in factors(w))
 

@@ -15,8 +15,8 @@ from prefixnormal import (OnesProfile, PnfPair, build_index, build_pnf_a,
 from prefixnormal.words import complement_counts, prefix_counts
 
 from _oracles import (brute_max_profile, brute_min_a_profile,
-                      brute_window_max, random_word, words_of_length,
-                      words_up_to)
+                      brute_window_max, random_word, scan_window_max,
+                      words_of_length, words_up_to)
 
 EXAMPLE_WORD = "ababbaabaabbbaaabbab"
 EXAMPLE_FA = [0, 1, 2, 3, 3, 4, 4, 4, 5, 5, 6, 7, 7, 7, 8, 8, 9, 9, 9, 10, 10]
@@ -127,6 +127,42 @@ def test_window_max_at_dtype_boundaries(n):
         max_b = complement_counts(min_a)
         assert profiles.window_max(_rows(w, True)) == [max_a, max_b]
         assert profiles.a_count_bounds(w) == (max_a, min_a)
+
+
+def _few_runs_word(rng, n):
+    runs = []
+    while sum(map(len, runs)) < n:
+        runs.append("ab"[len(runs) % 2] * rng.randint(1, 60))
+    return "".join(runs)[:n]
+
+
+@pytest.mark.parametrize("starts", [2, 3, 7])
+def test_window_max_in_blocks_of_run_starts(monkeypatch, starts):
+    # A budget of `starts` windows of full length per column: a row whose
+    # first run start is 0 (the a-row of a word starting with a, else the
+    # b-row) takes exactly that many starts in its first pass, and every
+    # later pass takes at least as many.
+    rng = random.Random(2410 + starts)
+    for i in range(40):
+        n = rng.randint(64, 300)
+        w = (random_word if i % 2 else _few_runs_word)(rng, n)
+        rows = _rows(w, True)
+        monkeypatch.setattr(profiles, "_BLOCK_BUDGET", starts * (n + 1))
+        assert profiles.window_max(rows) == brute_window_max(rows)
+        batch = [prefix_counts(random_word(rng, n)) for _ in range(5)]
+        monkeypatch.setattr(profiles, "_BLOCK_BUDGET", starts * (n + 1) * 5)
+        out = profiles.window_max(np.array(batch, dtype=np.int32))
+        assert out.tolist() == brute_window_max(batch)
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 32767, 32768])
+def test_blocked_padding_at_dtype_limits(n):
+    # A padded window's count, -1 - rows[s], must stay inside the kernel
+    # dtype and below every real count; random words of these lengths
+    # slide in blocks under the default budget.
+    rows = _rows(random_word(random.Random(2411 + n), n), True)
+    oracle = brute_window_max if n < 1000 else scan_window_max
+    assert profiles.window_max(rows) == oracle(rows)
 
 
 @pytest.mark.parametrize("n", [0, 1, 9, 70])

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from prefixnormal import (ParikhVector, ParseError, build_index, build_pnf_a,
-                          complement, is_prefix_normal, normality_witness,
-                          parikh, parse_word, pnf_pair, pos_a, prefix_count,
+from prefixnormal import (ALPHABET_MAPS, ParikhVector, ParseError,
+                          build_index, build_pnf_a, classify, complement,
+                          is_lyndon, is_necklace, is_pre_necklace,
+                          is_prefix_normal, normality_witness, parikh,
+                          parse_word, pnf_pair, pos_a, prefix_count,
                           prefix_counts, region, reverse)
 
 from _oracles import random_word, words_up_to
@@ -35,6 +37,27 @@ def test_parse_binary_alphabet():
     assert info.value.position == 3
     with pytest.raises(ValueError):
         parse_word("ab", alphabet="greek")
+
+
+@pytest.mark.parametrize("alphabet", ["ab", "binary"])
+def test_parse_matches_a_per_character_scan(alphabet):
+    mapping = ALPHABET_MAPS[alphabet]
+    pool = "".join(mapping) * 30 + "ab10x"  # 3 of its 65 symbols foreign
+    rng = random.Random(2409)
+    for _ in range(300):
+        text = "".join(rng.choice(pool) for _ in range(rng.randint(0, 80)))
+        bad = [i for i, ch in enumerate(text, start=1) if ch not in mapping]
+        if bad:
+            i = bad[0]
+            with pytest.raises(ParseError) as info:
+                parse_word(text, alphabet)
+            assert info.value.position == i
+            assert str(info.value) == (f"invalid character {text[i - 1]!r} "
+                                       f"at position {i} "
+                                       f"(alphabet {alphabet!r})")
+        else:
+            assert parse_word(text, alphabet) == "".join(map(mapping.get,
+                                                             text))
 
 
 def test_parikh_examples():
@@ -126,10 +149,13 @@ def test_prefix_counts_matches_rank():
 
 @pytest.mark.parametrize("fn", [prefix_counts, build_pnf_a, pnf_pair,
                                 build_index, region, normality_witness,
-                                is_prefix_normal])
+                                is_prefix_normal, is_lyndon, is_necklace,
+                                is_pre_necklace, classify])
 def test_foreign_symbols_are_rejected(fn):
-    # no symbol other than a is silently read as b
-    for text, position in (("abc", 3), ("xyz", 1), ("ab" * 40 + "A", 81)):
+    # no symbol other than a is silently read as b; by code point, "bc"
+    # and "ax" were Lyndon words while "bb" is not
+    for text, position in (("abc", 3), ("xyz", 1), ("ab" * 40 + "A", 81),
+                           ("bc", 2), ("ax", 2)):
         with pytest.raises(ParseError) as info:
             fn(text)
         assert info.value.position == position
