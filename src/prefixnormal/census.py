@@ -22,21 +22,18 @@ from functools import reduce
 from typing import Iterator
 
 from .pnf import _a_extends, is_prefix_normal
-from .profiles import _count_dtype, window_max
+from .profiles import window_max
 
 DEFAULT_COUNT_BOUND = 24
 DEFAULT_CENSUS_BOUND = 20
-
-# Chunk size (log2) for the streamed census; a chunk of 2^16 words keeps
-# the per-chunk arrays a few megabytes at n = 20.
-_CHUNK_BITS = 16
 
 # Longest count run on Python lists: they beat loading numpy up to about
 # n = 18, and numpy once loaded below n = 12; at 16, the `enumerate`
 # default and the table length, both languages take 25 ms on lists.
 _LIST_MAX_N = 16
 
-# Columns per batch: of a numpy level, never held whole, or of decoded words.
+# Columns per batch: of a numpy level, never held whole, of a census chunk,
+# or of decoded words.
 _BATCH_COLUMNS = 1 << 14
 
 
@@ -223,7 +220,7 @@ def _pnf_codes(n: int, start: int, stop: int):
     """
     import numpy as np
     a_bits = ~np.arange(start, stop)  # bit n - 1 - k set: an a at k
-    prefix = np.zeros((n + 1, stop - start), dtype=_count_dtype(n))
+    prefix = np.zeros((n + 1, stop - start), np.int8)  # n <= 63, as a level
     for k in range(n):  # window axis first: one contiguous row per k
         prefix[k + 1] = prefix[k] + (a_bits >> (n - 1 - k) & 1)
     steps = np.diff(window_max(prefix.T).T, axis=0)  # 1 at each a of the PNF
@@ -232,8 +229,8 @@ def _pnf_codes(n: int, start: int, stop: int):
 
 
 def _chunk_ranges(n: int) -> list[tuple[int, int]]:
-    size = 1 << min(n, _CHUNK_BITS)
-    return [(s, min(s + size, 1 << n)) for s in range(0, 1 << n, size)]
+    return [(s, min(s + _BATCH_COLUMNS, 1 << n))
+            for s in range(0, 1 << n, _BATCH_COLUMNS)]
 
 
 def _classes(n: int) -> tuple:

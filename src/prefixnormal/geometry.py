@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .profiles import _trusted, a_count_bounds
+from .jpm import JumbledIndex
+from .profiles import OnesProfile, _trusted, a_count_bounds
 from .words import ParikhVector, prefix_counts
 
 RENDER_BOUND = 10_000
@@ -42,27 +43,24 @@ class RegionProfile:
     """Column-wise bounds of the factor region.
 
     upper[x] and lower[x] are the highest and lowest path heights over
-    factors of length x; both boundaries move by exactly one unit per
-    column.
+    factors of length x: the jumbled index drawn on the lattice, with
+    max_a[x] = (upper[x] + x) / 2 and min_a[x] = (lower[x] + x) / 2.
     """
 
     upper: tuple[int, ...]
     lower: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.upper) != len(self.lower):
-            raise ValueError("boundary lengths differ")
-        if not self.upper or self.upper[0] != 0 or self.lower[0] != 0:
-            raise ValueError("boundaries must start at the origin")
-        for k in range(1, len(self.upper)):
-            if abs(self.upper[k] - self.upper[k - 1]) != 1:
-                raise ValueError(f"upper boundary step at {k} is not a "
-                                 "unit diagonal")
-            if abs(self.lower[k] - self.lower[k - 1]) != 1:
-                raise ValueError(f"lower boundary step at {k} is not a "
-                                 "unit diagonal")
-        if any(lo > hi for lo, hi in zip(self.lower, self.upper)):
-            raise ValueError("lower boundary exceeds upper boundary")
+        # on the lattice, each boundary is an a-count profile, and the pair
+        # is checked as the index it is
+        for k, (hi, lo) in enumerate(zip(self.upper, self.lower)):
+            if (hi + k) % 2 or (lo + k) % 2:
+                raise ValueError(f"boundary point in column {k} is off the "
+                                 "lattice")
+        max_a, min_a = (tuple((y + k) // 2 for k, y in enumerate(heights))
+                        for heights in (self.upper, self.lower))
+        JumbledIndex(self.n, OnesProfile("max-a", max_a),
+                     OnesProfile("min-a", min_a))
 
     @property
     def n(self) -> int:

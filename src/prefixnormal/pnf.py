@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .profiles import _trusted, a_count_bounds, max_a_profile, window_max
-from .words import (a_positions, complement, complement_counts, prefix_counts,
-                    word_from_counts)
+from .words import (a_positions, complement, complement_counts, parse_word,
+                    prefix_counts, word_from_counts)
 
 
 def build_pnf_a(w: str) -> str:
@@ -81,7 +81,7 @@ def pnf_pair(w: str) -> PnfPair:
 def _is_normal_by_positions(w: str) -> bool:
     # pos(i) + pos(j) - 1 <= pos(i+j-1) whenever i+j-1 <= number of a's.
     # The i = 1 instances force the first symbol to be an a (or no a at all).
-    pos = a_positions(w)
+    pos = a_positions(parse_word(w))
     m = len(pos)
     for i in range(1, m + 1):
         for j in range(i, m - i + 2):
@@ -91,11 +91,8 @@ def _is_normal_by_positions(w: str) -> bool:
 
 
 def _is_normal_by_scan(w: str) -> bool:
-    tester = PrefixNormalTester()
-    ok = True
-    for ch in w:
-        ok = tester.feed(ch)
-    return ok
+    # the verdict latches false, so the first False is the last
+    return all(map(PrefixNormalTester().feed, parse_word(w)))
 
 
 _METHODS = {
@@ -157,13 +154,12 @@ class PrefixNormalTester:
     """
 
     def __init__(self):
-        self._symbols: list[str] = []
         self._prefix = [0]   # prefix a-counts, index 0..n
         self._normal = True
 
     @property
     def word(self) -> str:
-        return "".join(self._symbols)
+        return word_from_counts(self._prefix)
 
     @property
     def is_normal(self) -> bool:
@@ -175,9 +171,8 @@ class PrefixNormalTester:
             raise ValueError(f"expected 'a' or 'b', got {symbol!r}")
         is_a = symbol == "a"
         if self._normal and is_a:
-            self._normal = _a_extends(self._prefix, len(self._symbols))
+            self._normal = _a_extends(self._prefix, len(self._prefix) - 1)
         self._prefix.append(self._prefix[-1] + is_a)
-        self._symbols.append(symbol)
         return self._normal
 
 

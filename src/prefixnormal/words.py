@@ -14,8 +14,6 @@ from itertools import accumulate
 from operator import sub
 from typing import NamedTuple
 
-ALPHABET = "ab"
-
 # Accepted input alphabets for parse_word.  Canonical output is always a/b.
 # In binary mode 1 maps to a and 0 maps to b.
 ALPHABET_MAPS = {
@@ -72,7 +70,11 @@ def parse_word(text: str, alphabet: str = "ab") -> str:
 
 
 def parikh(w: str) -> ParikhVector:
-    """Parikh vector of ``w``: (number of a's, number of b's)."""
+    """Parikh vector of ``w``: (number of a's, number of b's).
+
+    Raises ParseError at the first symbol other than a or b.
+    """
+    w = parse_word(w)
     a = w.count("a")
     return ParikhVector(a, len(w) - a)
 

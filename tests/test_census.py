@@ -175,8 +175,9 @@ def test_max_class_size_matches_census():
 
 
 def test_class_members_across_chunks():
-    # n = 17 takes two chunks: the words starting with a, then with b
-    assert len(census._chunk_ranges(17)) == 2
+    # n = 17 takes eight chunks: the words starting with a fill the first
+    # four, those starting with b the last four
+    assert len(census._chunk_ranges(17)) == 8
     rep = build_pnf_a("bbaababaabbabaaba")
     members = class_members(rep)
     assert {m[0] for m in members} == {"a", "b"}

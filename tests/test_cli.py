@@ -3,12 +3,19 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prefixnormal
-from prefixnormal import geometry
+from prefixnormal import census, geometry
+from prefixnormal.census import (CLASS_HISTOGRAM_N8, CLASS_SIZES_N8,
+                                 PREFIX_NORMAL_COUNTS, TableExpectations,
+                                 class_members)
 from prefixnormal.cli import main
 from prefixnormal.geometry import SUFFIX_PATHS_BOUND
 
@@ -222,6 +229,44 @@ def test_classes_members(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_classes_histogram_text(capsys):
+    code, out, err = run(capsys, "classes", "--n", "8", "--histogram")
+    assert (code, err) == (0, "")
+    assert out == "".join(
+        [f"{rep} {size}\n" for rep, size in sorted(CLASS_SIZES_N8.items())]
+        + ["size classes\n"]
+        + [f"{size} {n}\n" for size, n in sorted(CLASS_HISTOGRAM_N8.items())])
+
+
+def test_classes_members_json(capsys):
+    code, out, _ = run(capsys, "classes", "--members", "aababbbb",
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc == {"pnf": "aababbbb", "members": class_members("aababbbb")}
+    assert len(doc["members"]) == CLASS_SIZES_N8["aababbbb"]
+
+
+def test_classes_negative_length_is_usage_error(capsys):
+    code, out, err = run(capsys, "classes", "--n", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: length must be non-negative, got -1\n"
+
+
+def test_verify_tables_reports_failed_cells(capsys, monkeypatch):
+    tampered = TableExpectations(
+        prefix_normal_counts=(2, 3, 6) + PREFIX_NORMAL_COUNTS[3:])
+    verify = census.verify_tables
+    monkeypatch.setattr(census, "verify_tables",
+                        lambda **kwargs: verify(tampered, **kwargs))
+    code, out, _ = run(capsys, "verify-tables", "--max-n", "4")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if not line.startswith("ok   ")] == [
+        "FAIL prefix-normal count n=3: expected 6, got 5",
+        f"{len(lines) - 2}/{len(lines) - 1} cells match"]
+
+
 def test_region_files(capsys, tmp_path):
     svg_path = tmp_path / "out.svg"
     csv_path = tmp_path / "out.csv"
@@ -340,3 +385,110 @@ def test_census_starts_no_process():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["False", "False"]
+
+
+# ---------------------------------------------------------------------------
+# Every well-formed command line ends in a defined exit code
+
+_VERDICT_COMMANDS = {"test", "query", "index query", "verify-tables"}
+
+_WORDS = st.one_of(st.text("ab", max_size=200), st.text("01", max_size=200),
+                   st.text("ab01x", max_size=200))
+# counts and censuses past n = 10 take seconds; huge values are rejected
+_SIZES = st.one_of(st.integers(-3, 10), st.sampled_from([25, 10 ** 30,
+                                                         -10 ** 30]))
+_INTS = st.one_of(st.integers(-3, 10), st.integers(-10 ** 30, 10 ** 30))
+_LINES = st.lists(st.one_of(st.just(""), st.text("ab01x ", max_size=30)),
+                  max_size=5)
+
+
+def _opt(flag, values):
+    """``[flag, value]`` or nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+def _flag(flag):
+    return st.sampled_from([[], [flag]])
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Index files good and bad, and paths to write to."""
+    root = tmp_path_factory.mktemp("cli")
+    docs = {"good.json": '{"version":1,"n":4,"maxA":[0,1,2,2,2],'
+                         '"minA":[0,0,0,1,2]}',
+            "broken.json": "{broken",
+            "deep.json": "[" * 100_000,
+            "impossible.json": '{"version":1,"n":2,"maxA":[0,1,2],'
+                               '"minA":[0,0,0]}',
+            "types.json": '{"version":1,"n":true,"maxA":[0,1],'
+                          '"minA":[0,0]}'}
+    for name, doc in docs.items():
+        (root / name).write_text(doc)
+    return {"index": [str(root / name) for name in [*docs, "missing.json"]],
+            "output": [str(root / "out"), str(root)]}
+
+
+@st.composite
+def _command_lines(draw, files):
+    """A command line that argparse accepts, and the stdin it reads."""
+    alphabet = draw(_opt("--alphabet", st.sampled_from(["ab", "binary"])))
+    word = draw(st.one_of(_WORDS, st.just("-")))
+    fmt = st.sampled_from(["text", "json"])
+    output = _opt("-o", st.sampled_from(files["output"]))
+    index = st.sampled_from(files["index"])
+    jobs = _opt("--jobs", _INTS)
+    argv = draw(st.sampled_from([
+        ["pnf"], ["test"], ["profiles"], ["classify"], ["query"],
+        ["index", "build"], ["index", "query"], ["index", "pnf"],
+        ["enumerate"], ["classes"], ["region"], ["verify-tables"]]))
+    command = " ".join(argv)
+    if command in ("pnf", "test", "profiles"):
+        argv += alphabet + draw(_opt("--format", fmt)) + [word]
+    elif command == "classify":
+        argv += alphabet + [word]
+    elif command == "query":
+        argv += alphabet + [draw(_WORDS), str(draw(_INTS)),
+                            str(draw(_INTS))]
+    elif command == "index build":
+        argv += alphabet + [draw(_WORDS)] + draw(output)
+    elif command == "index query":
+        argv += [draw(index), str(draw(_INTS)), str(draw(_INTS))]
+    elif command == "index pnf":
+        argv += [draw(index)]
+    elif command == "enumerate":
+        argv += (draw(_opt("--max-n", _SIZES))
+                 + draw(_opt("--what", st.sampled_from(
+                     ["pnf", "prenecklace", "both"])))
+                 + draw(_opt("--format", st.sampled_from(
+                     ["text", "csv", "json"]))) + draw(jobs))
+    elif command == "classes":
+        members = st.one_of(st.text("ab", max_size=10),
+                            st.text("ab01x", max_size=10),
+                            st.text("ab", min_size=21, max_size=40))
+        argv += (alphabet + draw(_opt("--n", _SIZES))
+                 + draw(_opt("--members", members))
+                 + draw(_flag("--histogram")) + draw(_opt("--format", fmt))
+                 + draw(jobs))
+    elif command == "region":
+        argv += (alphabet + [draw(_WORDS)] + draw(output)
+                 + draw(_opt("--csv", st.sampled_from(files["output"])))
+                 + draw(_flag("--suffix-paths"))
+                 + draw(_opt("--unit", _INTS)))
+    else:
+        argv += draw(_opt("--max-n", _SIZES)) + draw(jobs)
+    return command, argv, "\n".join(draw(_LINES)) + "\n"
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_every_command_line_exits_0_1_or_2(cli_files, data):
+    command, argv, stdin = data.draw(_command_lines(cli_files))
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), \
+            redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert code != 1 or command in _VERDICT_COMMANDS
+    assert all(line.startswith("error:")
+               for line in err.getvalue().splitlines())

@@ -41,6 +41,14 @@ def test_region_validation():
         RegionProfile(upper=(0, 1), lower=(0,))
 
 
+def test_region_holds_one_height_in_the_last_column():
+    # the whole word is its only factor of length n, so column n holds one
+    # point; the index check rejects both pairs
+    for upper, lower in (((0, 1), (0, -1)), ((0, 1, 2), (0, 1, 0))):
+        with pytest.raises(ValueError):
+            RegionProfile(upper, lower)
+
+
 def test_membership_matches_queries():
     for w in words_up_to(10):
         reg = region(w)

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from prefixnormal import (PnfPair, PrefixNormalTester, build_pnf_a,
-                          build_pnf_b, can_extend_with_a, is_prefix_normal,
-                          max_a_profile, normality_witness, pnf_pair,
-                          prefix_count, reverse)
+from prefixnormal import (ParseError, PnfPair, PrefixNormalTester,
+                          build_pnf_a, build_pnf_b, can_extend_with_a,
+                          is_prefix_normal, max_a_profile, normality_witness,
+                          pnf_pair, prefix_count, reverse)
 from _oracles import (brute_is_prefix_normal, brute_normality_witness,
                       check_factor_select_bound, check_prefix_subadditivity,
                       random_word, words_up_to)
@@ -39,6 +39,17 @@ def test_is_prefix_normal_examples():
 def test_is_prefix_normal_unknown_method():
     with pytest.raises(ValueError):
         is_prefix_normal("ab", method="guess")
+
+
+@pytest.mark.parametrize("text", ["abc", "xa"])
+def test_every_method_parses_its_word(text):
+    with pytest.raises(ParseError) as default:
+        is_prefix_normal(text)
+    for method in ("profile", "positions", "scan"):
+        with pytest.raises(ParseError) as info:
+            is_prefix_normal(text, method=method)
+        assert str(info.value) == str(default.value)
+        assert info.value.position == default.value.position
 
 
 def test_all_methods_agree_with_oracle_exhaustive():

@@ -68,6 +68,17 @@ def test_parikh_examples():
     assert parikh("aabb").length == 4
 
 
+def test_parikh_rejects_foreign_symbols():
+    # "abc" once counted as one a and two b's
+    for text, position in (("abc", 3), ("xa", 1)):
+        with pytest.raises(ParseError) as info:
+            parikh(text)
+        with pytest.raises(ParseError) as expected:
+            prefix_counts(text)
+        assert str(info.value) == str(expected.value)
+        assert info.value.position == position
+
+
 def test_prefix_count_examples():
     assert prefix_count("abab", 0) == 0
     assert prefix_count("abab", 3) == 2
