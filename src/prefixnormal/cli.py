@@ -11,10 +11,8 @@ deterministic: identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import census, geometry, jpm, lyndon, pnf, profiles
 from .words import ParseError, complement_counts, parse_word
 
 
@@ -22,14 +20,20 @@ def _each_word(args, handle) -> int:
     """Apply ``handle`` to the word argument or, for ``-``, to each stdin
     line as it is read, writing each line's output before reading the next.
 
-    A stdin line that does not parse writes ``error: line N: <message>``
-    to stderr and the batch goes on.  Returns 2 if any line failed, else
-    the largest verdict ``handle`` returned.
+    Each stdin line is decoded on its own as UTF-8, whatever the locale,
+    with undecodable bytes kept as surrogates.  A line that does not parse
+    writes ``error: line N: <message>`` to stderr and the batch goes on.
+    Returns 2 if any line failed, else the largest verdict ``handle``
+    returned.
     """
     if args.word != "-":
         return handle(parse_word(args.word, args.alphabet))
+    lines = sys.stdin
+    if hasattr(lines, "buffer"):  # a text stream over bytes
+        lines = (raw.decode("utf-8", "surrogateescape")
+                 for raw in lines.buffer)
     verdict, failed = 0, False
-    for lineno, line in enumerate(sys.stdin, 1):
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
@@ -54,12 +58,17 @@ def _columns_table(rows: list[tuple[str, list[object]]]) -> str:
         for (label, _), row in zip(rows, table))
 
 
+def _print_json(doc) -> None:
+    import json  # only commands that print JSON load it
+    print(json.dumps(doc))
+
+
 def cmd_pnf(args) -> int:
+    from . import pnf
     def one(w: str) -> int:
         pair = pnf.pnf_pair(w)
         if args.format == "json":
-            print(json.dumps({"word": w, "pnfA": pair.pnf_a,
-                              "pnfB": pair.pnf_b}))
+            _print_json({"word": w, "pnfA": pair.pnf_a, "pnfB": pair.pnf_b})
         else:
             print(f"PNF_a: {pair.pnf_a}")
             print(f"PNF_b: {pair.pnf_b}")
@@ -68,11 +77,12 @@ def cmd_pnf(args) -> int:
 
 
 def cmd_test(args) -> int:
+    from . import pnf
     def one(w: str) -> int:
         witness = pnf.normality_witness(w)
         if args.format == "json":
-            print(json.dumps({"word": w, "normal": witness is None,
-                              "witness": witness}))
+            _print_json({"word": w, "normal": witness is None,
+                         "witness": witness})
         elif witness is None:
             print("normal")
         else:
@@ -83,12 +93,12 @@ def cmd_test(args) -> int:
 
 
 def cmd_profiles(args) -> int:
+    from . import profiles
     def one(w: str) -> int:
-        max_a, min_a = profiles.a_count_bounds(w)
-        max_b = complement_counts(min_a)
+        max_a, max_b = profiles._maxima(w)
         if args.format == "json":
-            print(json.dumps({"n": len(w), "Fa": max_a, "Fb": max_b,
-                              "fa": min_a}))
+            _print_json({"n": len(w), "Fa": max_a, "Fb": max_b,
+                         "fa": complement_counts(max_b)})
         else:
             ks = list(range(len(w) + 1))
             print(_columns_table([("k", ks), ("F_a", max_a),
@@ -98,20 +108,18 @@ def cmd_profiles(args) -> int:
 
 
 def cmd_query(args) -> int:
+    from . import jpm
     w = parse_word(args.word, args.alphabet)
-    ix = jpm.build_index(w)
-    return _report_query(ix, args.x, args.y)
+    return _report_query(jpm.query(jpm.build_index(w), (args.x, args.y)))
 
 
-def _report_query(ix: jpm.JumbledIndex, x: int, y: int) -> int:
-    if jpm.query(ix, (x, y)):
-        print("occurs")
-        return 0
-    print("absent")
-    return 1
+def _report_query(found: bool) -> int:
+    print("occurs" if found else "absent")
+    return 0 if found else 1
 
 
 def cmd_index(args) -> int:
+    from . import jpm
     if args.index_cmd == "build":
         w = parse_word(args.word, args.alphabet)
         doc = jpm.index_to_json(jpm.build_index(w))
@@ -124,31 +132,32 @@ def cmd_index(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         ix, pair = jpm._load_index(fh.read())
     if args.index_cmd == "query":
-        return _report_query(ix, args.x, args.y)
+        return _report_query(jpm.query(ix, (args.x, args.y)))
     print(f"PNF_a: {pair.pnf_a}")
     print(f"PNF_b: {pair.pnf_b}")
     return 0
 
 
 def cmd_classify(args) -> int:
+    from . import lyndon
     def one(w: str) -> int:
         c = lyndon.classify(w)
-        print(json.dumps({
+        _print_json({
             "is_lyndon": c.is_lyndon,
             "is_necklace": c.is_necklace,
             "is_pre_necklace": c.is_pre_necklace,
             "is_prefix_normal": c.is_prefix_normal,
-        }))
+        })
         return 0
     return _each_word(args, one)
 
 
 def cmd_enumerate(args) -> int:
+    from . import census
     rows = census.counts_table(args.max_n, what=args.what, jobs=args.jobs)
     if args.format == "json":
-        print(json.dumps([
-            {"n": r.n, "prefixNormal": r.count_prefix_normal,
-             "preNecklace": r.count_pre_necklace} for r in rows]))
+        _print_json([{"n": r.n, "prefixNormal": r.count_prefix_normal,
+                      "preNecklace": r.count_pre_necklace} for r in rows])
     elif args.format == "csv":
         print("n,prefix_normal,pre_necklace")
         for r in rows:
@@ -168,6 +177,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classes(args) -> int:
+    from . import census
     census._check_jobs(args.jobs)
     if args.members is not None:
         rep = parse_word(args.members, args.alphabet)
@@ -176,7 +186,7 @@ def cmd_classes(args) -> int:
                              f"{rep!r}")
         members = census.class_members(rep)
         if args.format == "json":
-            print(json.dumps({"pnf": rep, "members": members}))
+            _print_json({"pnf": rep, "members": members})
         else:
             sys.stdout.writelines(f"{m}\n" for m in members)
         return 0
@@ -188,7 +198,7 @@ def cmd_classes(args) -> int:
         if args.histogram:
             doc["histogram"] = {str(k): v
                                 for k, v in result.histogram().items()}
-        print(json.dumps(doc))
+        _print_json(doc)
         return 0
     sys.stdout.writelines(f"{rep} {size}\n"
                           for rep, size in result.classes.items())
@@ -200,6 +210,7 @@ def cmd_classes(args) -> int:
 
 
 def cmd_region(args) -> int:
+    from . import geometry
     w = parse_word(args.word, args.alphabet)
     # before the kernel runs
     geometry.check_render(len(w), args.unit, args.suffix_paths)
@@ -217,6 +228,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_verify_tables(args) -> int:
+    from . import census
     report = census.verify_tables(max_n=args.max_n, jobs=args.jobs)
     for cell in report.cells:
         if cell.ok:

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .profiles import _trusted, a_count_bounds, max_a_profile, window_max
-from .words import (a_positions, complement, complement_counts, parse_word,
-                    prefix_counts, word_from_counts)
+from .words import (ParseError, a_positions, complement, complement_counts,
+                    parse_word, prefix_counts, word_from_counts)
 
 
 def build_pnf_a(w: str) -> str:
@@ -81,7 +81,7 @@ def pnf_pair(w: str) -> PnfPair:
 def _is_normal_by_positions(w: str) -> bool:
     # pos(i) + pos(j) - 1 <= pos(i+j-1) whenever i+j-1 <= number of a's.
     # The i = 1 instances force the first symbol to be an a (or no a at all).
-    pos = a_positions(parse_word(w))
+    pos = a_positions(w)
     m = len(pos)
     for i in range(1, m + 1):
         for j in range(i, m - i + 2):
@@ -166,9 +166,15 @@ class PrefixNormalTester:
         return self._normal
 
     def feed(self, symbol: str) -> bool:
-        """Append one symbol; return whether the word so far is normal."""
+        """Append one symbol; return whether the word so far is normal.
+
+        Raises ParseError, positioned in the word fed so far, for a
+        symbol other than a or b.
+        """
         if symbol not in ("a", "b"):
-            raise ValueError(f"expected 'a' or 'b', got {symbol!r}")
+            i = len(self._prefix)
+            raise ParseError(f"expected 'a' or 'b' at position {i}, got "
+                             f"{symbol!r}", i)
         is_a = symbol == "a"
         if self._normal and is_a:
             self._normal = _a_extends(self._prefix, len(self._prefix) - 1)

@@ -125,10 +125,15 @@ def _slide(q):
     return out
 
 
+def _maxima(w: str) -> list[list[int]]:
+    """The max-a and max-b values of ``w`` from one kernel call."""
+    counts = prefix_counts(w)
+    return window_max([counts, complement_counts(counts)])
+
+
 def a_count_bounds(w: str) -> tuple[list[int], list[int]]:
     """The max-a and min-a values of ``w`` from one kernel call."""
-    counts = prefix_counts(w)
-    max_a, max_b = window_max([counts, complement_counts(counts)])
+    max_a, max_b = _maxima(w)
     return max_a, complement_counts(max_b)
 
 

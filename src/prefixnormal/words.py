@@ -1,10 +1,12 @@
 """Binary words over the two-letter alphabet {a, b}, with a < b.
 
 Words are plain Python strings containing only the characters ``a`` and
-``b``; the empty string is the empty word.  All positions in the public
-API are 1-based (a word w has symbols w_1 ... w_n), matching the usual
-convention in combinatorics on words.  Everything here is a pure function
-over immutable values.
+``b``; the empty string is the empty word.  Every function here that
+takes a word reads it through parse_word, so it raises ParseError at the
+first other symbol.  All positions in the public API are 1-based (a word
+w has symbols w_1 ... w_n), matching the usual convention in
+combinatorics on words.  Everything here is a pure function over
+immutable values.
 """
 
 from __future__ import annotations
@@ -103,6 +105,7 @@ def prefix_count(w: str, i: int) -> int:
 
     ``i`` ranges over 0..len(w); the empty prefix counts 0.
     """
+    w = parse_word(w)
     if not 0 <= i <= len(w):
         raise IndexError(f"prefix length {i} out of range 0..{len(w)}")
     return w.count("a", 0, i)
@@ -113,6 +116,7 @@ def pos_a(w: str, i: int) -> int:
 
     Requires 1 <= i <= number of a's in ``w``.
     """
+    w = parse_word(w)
     if i < 1:
         raise ValueError(f"occurrence index must be >= 1, got {i}")
     pos = -1
@@ -126,14 +130,14 @@ def pos_a(w: str, i: int) -> int:
 
 def a_positions(w: str) -> list[int]:
     """All 1-based positions of a's, in increasing order."""
-    return [i + 1 for i, ch in enumerate(w) if ch == "a"]
+    return [i + 1 for i, ch in enumerate(parse_word(w)) if ch == "a"]
 
 
 def reverse(w: str) -> str:
     """Reversal of ``w`` (an involution)."""
-    return w[::-1]
+    return parse_word(w)[::-1]
 
 
 def complement(w: str) -> str:
     """Exchange a's and b's (an involution)."""
-    return w.translate(_COMPLEMENT)
+    return parse_word(w).translate(_COMPLEMENT)

@@ -374,6 +374,35 @@ def test_short_commands_leave_numpy_unloaded():
     assert proc.stdout.splitlines()[-2:] == ["False", "False"]
 
 
+def test_pnf_ab_imports_only_what_it_runs():
+    # -v logs every module loaded; -X importtime misses `from . import x`
+    src = str(Path(prefixnormal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-v", "-m", "prefixnormal.cli", "pnf", "ab"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "PNF_a: ab\nPNF_b: ba\n")
+    imported = {line.split("'")[1] for line in proc.stderr.splitlines()
+                if line.startswith("import '")}
+    assert "prefixnormal.pnf" in imported
+    assert not imported & {"prefixnormal.census", "prefixnormal.geometry",
+                           "prefixnormal.jpm", "prefixnormal.lyndon",
+                           "json", "numpy"}
+
+
+def test_stdin_lines_decode_as_utf8_whatever_the_io_encoding():
+    src = str(Path(prefixnormal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "prefixnormal.cli", "pnf", "-"],
+        input=b"ab\nabba\n\xff\n", env=env, capture_output=True,
+        timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b"PNF_a: ab\nPNF_b: ba\nPNF_a: abba\nPNF_b: bbaa\n"
+    assert proc.stderr == (b"error: line 3: invalid character '\\udcff' "
+                           b"at position 1 (alphabet 'ab')\n")
+
+
 def test_census_starts_no_process():
     src = str(Path(prefixnormal.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -134,6 +134,15 @@ def test_online_tester_rejects_bad_symbol():
         PrefixNormalTester().feed("x")
 
 
+def test_online_tester_positions_a_bad_symbol():
+    tester = PrefixNormalTester()
+    assert tester.feed("a") and tester.feed("b")
+    with pytest.raises(ParseError) as info:
+        tester.feed("c")
+    assert info.value.position == 3
+    assert tester.word == "ab"
+
+
 def test_idempotence_and_reversal():
     rng = random.Random(2303)
     words = list(words_up_to(10)) + [

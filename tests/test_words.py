@@ -1,13 +1,18 @@
+import inspect
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import prefixnormal
 from prefixnormal import (ALPHABET_MAPS, ParikhVector, ParseError,
-                          build_index, build_pnf_a, classify, complement,
-                          is_lyndon, is_necklace, is_pre_necklace,
-                          is_prefix_normal, normality_witness, parikh,
-                          parse_word, pnf_pair, pos_a, prefix_count,
-                          prefix_counts, region, reverse)
+                          PrefixNormalTester, a_positions, build_index,
+                          build_pnf_a, classify, complement, is_lyndon,
+                          is_necklace, is_pre_necklace, is_prefix_normal,
+                          normality_witness, parikh, parse_word, pnf_pair,
+                          pos_a, prefix_count, prefix_counts, region,
+                          reverse)
 
 from _oracles import random_word, words_up_to
 
@@ -170,3 +175,54 @@ def test_foreign_symbols_are_rejected(fn):
         with pytest.raises(ParseError) as info:
             fn(text)
         assert info.value.position == position
+
+
+@pytest.mark.parametrize("fn, args, position", [
+    (prefix_count, ("abc", 3), 3),
+    (pos_a, ("xax", 1), 1),
+    (a_positions, ("xa",), 1),
+    (complement, ("abc",), 3),
+    (reverse, ("x1",), 1),
+], ids=["prefix_count", "pos_a", "a_positions", "complement", "reverse"])
+def test_rank_select_and_involutions_reject_foreign_symbols(fn, args,
+                                                           position):
+    with pytest.raises(ParseError) as info:
+        fn(*args)
+    assert info.value.position == position
+
+
+def _feed_each(w):
+    tester = PrefixNormalTester()
+    for symbol in w:
+        tester.feed(symbol)
+
+
+# The other arguments of the word readers that take more than a word.
+_MORE_ARGS = {"prefix_count": (0,), "pos_a": (1,),
+              "parikh_set_equal": ("ab",)}
+
+
+def _word_readers():
+    """Every exported function whose first argument is a word, then
+    parse_word, the second word of parikh_set_equal and the online tester."""
+    for name in prefixnormal.__all__:
+        fn = getattr(prefixnormal, name)
+        if inspect.isfunction(fn) and next(
+                iter(inspect.signature(fn).parameters)) in ("w", "pnf"):
+            yield lambda w, fn=fn: fn(w, *_MORE_ARGS.get(fn.__name__, ()))
+    yield parse_word
+    yield lambda w: prefixnormal.parikh_set_equal("ab", w)
+    yield _feed_each
+
+
+# 20 symbols at most: class_members rejects a longer word by its length
+@settings(max_examples=200)
+@given(st.text("ab", max_size=14), st.characters(exclude_characters="ab"),
+       st.text(max_size=5))
+def test_every_word_reader_rejects_a_foreign_symbol(left, symbol, right):
+    readers = list(_word_readers())
+    assert len(readers) == 31
+    for read in readers:
+        with pytest.raises(ParseError) as info:
+            read(left + symbol + right)
+        assert info.value.position == len(left) + 1
