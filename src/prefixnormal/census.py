@@ -23,6 +23,7 @@ from typing import Iterator
 
 from .pnf import _a_extends, is_prefix_normal
 from .profiles import window_max
+from .words import parse_word
 
 DEFAULT_COUNT_BOUND = 24
 DEFAULT_CENSUS_BOUND = 20
@@ -312,7 +313,7 @@ def class_members(pnf: str, bound: int = DEFAULT_CENSUS_BOUND) -> list[str]:
 
     ``pnf`` must itself be prefix normal (it is its class representative).
     """
-    n = len(pnf)
+    n = len(parse_word(pnf))
     _check_census_args(n, bound)  # before a kernel pass over a long word
     if not is_prefix_normal(pnf):
         raise ValueError(f"{pnf!r} is not prefix normal")

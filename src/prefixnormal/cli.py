@@ -52,7 +52,8 @@ def _columns_table(rows: list[tuple[str, list[object]]]) -> str:
     """Rows of (label, cells) printed as aligned columns."""
     label_w = max(len(label) for label, _ in rows)
     table = [list(map(str, cells)) for _, cells in rows]
-    widths = [max(map(len, column)) for column in zip(*table)]
+    lens = [list(map(len, row)) for row in table]
+    widths = list(map(max, lens[0], *lens))  # one-row tables too: max(x, x)
     return "\n".join(
         f"{label.ljust(label_w)}  {'  '.join(map(str.rjust, row, widths))}"
         for (label, _), row in zip(rows, table))

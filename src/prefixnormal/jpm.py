@@ -12,7 +12,6 @@ Parikh-vector sets exactly when both their normal forms coincide.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from operator import sub
 
@@ -130,6 +129,7 @@ def parikh_set_oracle(w: str, bound: int = DEFAULT_ORACLE_BOUND) -> set[ParikhVe
 
 def index_to_json(ix: JumbledIndex) -> str:
     """Serialize to the versioned on-disk JSON form."""
+    import json  # only the commands that read or write index files load it
     doc = {
         "version": INDEX_FORMAT_VERSION,
         "n": ix.n,
@@ -146,6 +146,7 @@ def index_from_json(text: str) -> JumbledIndex:
 
 
 def _load_index(text: str) -> tuple[JumbledIndex, PnfPair]:
+    import json
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

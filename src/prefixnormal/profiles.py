@@ -8,25 +8,25 @@ answer length-indexed questions with one array read.
 
 All come from one kernel over a batch of prefix-count rows: a word's a-
 and b-counts are a batch of two, a census chunk a batch of 2^14 words.
-Short single words take a plain per-length sliding window, O(n^2).  Long
-words and batches slide windows only from the starts of runs, since a
-best window can always be moved onto a run start or onto a suffix:
-O(n * rho) for a word with rho runs, in vectorized passes over as many
-run starts as fit a fixed element budget (one for a census chunk), on a
-block stored window axis first in the narrowest signed dtype holding n.
+Both paths slide windows only from the starts of runs, since a best
+window can always be moved onto a run start or onto a suffix: O(n * rho)
+for a word with rho runs.  A word shorter than 128 slides on one Python
+int per row, a byte per window length; longer words and batches slide
+in vectorized passes over as many run starts as fit a fixed element
+budget (one for a census chunk), on a block stored window axis first in
+the narrowest signed dtype holding n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
 
 from .words import complement, complement_counts, prefix_counts
 
-# Below this length words take the plain-Python slide, so a process that
-# only sees short words never imports numpy (65-80 ms).  Once numpy is
-# loaded it is the faster kernel from n = 24-28 on two-row random words.
-_VECTOR_CUTOFF = 64
+# Shorter words take _packed_slide and never import numpy (75-85 ms a
+# process).  With numpy loaded, on two rows, packed vs numpy _slide: 28/50
+# us at n = 64, 47/53 at 96 and 58/54 at 127, crossing near n = 112.
+_VECTOR_CUTOFF = 128
 _BLOCK_BUDGET = 1 << 16  # elements _slide gathers per pass
 
 _KINDS = ("max-a", "min-a", "max-b")
@@ -85,8 +85,23 @@ def window_max(rows):
     if not isinstance(rows, list):
         return _slide(rows.T).T.astype(rows.dtype, copy=False)
     return [_slide(p)[:, 0].tolist() if n >= _VECTOR_CUTOFF else
-            [0, *(max(map(sub, p[k:], p)) for k in range(1, n + 1))]
-            for p in rows]
+            _packed_slide(p) for p in rows]
+
+
+def _packed_slide(p):
+    """window_max of one count list p with n < 128, on ints with field k in
+    bits 8k..8k+7: out starts as the suffix counts, then takes per 1-run
+    start s the fieldwise max with D[k] = p[s + k] - p[s] (0 past n - s),
+    read off the high bit of out + 128 - D, which never borrows."""
+    n = len(p) - 1
+    ones = int.from_bytes(b"\1" * (n + 1), "little")
+    high, v = ones << 7, int.from_bytes(bytes(p), "little")
+    out = p[n] * ones - int.from_bytes(bytes(p[::-1]), "little")
+    for s in range(n):
+        if p[s + 1] > p[s] and (s == 0 or p[s] == p[s - 1]):
+            d = (v >> 8 * s) - p[s] * (ones >> 8 * s)
+            out = d ^ ((out ^ d) & ((((out | high) - d) & high) >> 7) * 255)
+    return list(out.to_bytes(n + 1, "little"))
 
 
 def _count_dtype(n: int) -> str:  # the narrowest signed dtype for 0..n

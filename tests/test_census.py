@@ -14,6 +14,7 @@ from prefixnormal import (ClassCensus, CountsRow, TableExpectations,
 from prefixnormal import census
 from prefixnormal.census import (CLASS_SIZES_N4, CLASS_SIZES_N8,
                                  DEFAULT_COUNT_BOUND)
+from prefixnormal.words import ParseError
 
 from _oracles import (brute_pre_necklaces, count_prefix_normal_by_filter,
                       subtree_counts, walk_words, words_of_length)
@@ -161,6 +162,14 @@ def test_class_members_examples():
     assert class_members("aabb") == ["aabb", "baab", "bbaa"]
     with pytest.raises(ValueError):
         class_members("baa")
+
+
+def test_class_members_parses_before_the_bound_check():
+    # a foreign symbol past the census bound is a parse error, not a
+    # length error
+    with pytest.raises(ParseError) as err:
+        class_members("a" * 20 + "0")
+    assert err.value.position == 21
 
 
 def test_max_class_size_examples():

@@ -390,6 +390,34 @@ def test_pnf_ab_imports_only_what_it_runs():
                            "json", "numpy"}
 
 
+def _modules_loaded_by(argvs):
+    """Run each argv through cli.main in one fresh process; the names of
+    the modules it then holds."""
+    src = str(Path(prefixnormal.__file__).resolve().parents[1])
+    script = ("import sys, prefixnormal.cli as cli\n"
+              f"for argv in {argvs!r}:\n"
+              "    assert cli.main(argv) in (0, 1), argv\n"
+              "print(*sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_words_shorter_than_128_leave_numpy_unloaded():
+    word = ("aab" * 43)[:127]
+    loaded = _modules_loaded_by([["pnf", word], ["test", word]])
+    assert "prefixnormal.profiles" in loaded and "numpy" not in loaded
+
+
+def test_query_and_region_leave_json_unloaded(tmp_path):
+    svg = str(tmp_path / "r.svg")
+    loaded = _modules_loaded_by([["query", "ab", "1", "1"],
+                                 ["region", EXAMPLE_WORD, "-o", svg]])
+    assert "prefixnormal.jpm" in loaded and "json" not in loaded
+
+
 def test_stdin_lines_decode_as_utf8_whatever_the_io_encoding():
     src = str(Path(prefixnormal.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")

@@ -129,6 +129,33 @@ def test_window_max_at_dtype_boundaries(n):
         assert profiles.a_count_bounds(w) == (max_a, min_a)
 
 
+@st.composite
+def words_to_300(draw):
+    """Words of n <= 300 symbols, with n = 0, 1, 127 and 128 drawn
+    explicitly: all a's, all b's, random, or a few runs."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 127, 128]),
+                       st.integers(0, 300)))
+    kind = draw(st.sampled_from(["a", "b", "random", "runs"]))
+    if kind == "random":
+        return draw(st.text("ab", min_size=n, max_size=n))
+    if kind == "runs":
+        cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+        order = draw(st.sampled_from(["ab", "ba"]))
+        return "".join(order[i % 2] * (hi - lo) for i, (lo, hi)
+                       in enumerate(zip([0, *cuts], [*cuts, n])))
+    return kind * n
+
+
+@given(words_to_300())
+def test_packed_slide_matches_numpy_and_brute_scan(w):
+    for p in _rows(w, True):
+        expected = brute_window_max([p])
+        assert [profiles._slide(p)[:, 0].tolist()] == expected
+        assert profiles.window_max([p]) == expected
+        if len(w) < profiles._VECTOR_CUTOFF:
+            assert [profiles._packed_slide(p)] == expected
+
+
 def _few_runs_word(rng, n):
     runs = []
     while sum(map(len, runs)) < n:
