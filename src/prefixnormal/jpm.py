@@ -13,7 +13,7 @@ Parikh-vector sets exactly when both their normal forms coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
+from operator import gt, sub
 
 from .pnf import PnfPair
 from .profiles import OnesProfile, _trusted, a_count_bounds
@@ -45,11 +45,11 @@ class JumbledIndex:
             raise ValueError(f"inconsistent index: {a_total} a's plus "
                              f"{b_total} b's cannot make a word of length "
                              f"{self.n}")
-        for k in range(self.n + 1):
-            if self.min_a[k] > self.max_a[k]:
-                raise ValueError(
-                    f"min_a[{k}] = {self.min_a[k]} exceeds "
-                    f"max_a[{k}] = {self.max_a[k]}")
+        if any(map(gt, self.min_a.values, self.max_a.values)):  # C speed
+            k = next(k for k in range(self.n + 1)
+                     if self.min_a[k] > self.max_a[k])
+            raise ValueError(f"min_a[{k}] = {self.min_a[k]} exceeds "
+                             f"max_a[{k}] = {self.max_a[k]}")
 
 
 def build_index(w: str) -> JumbledIndex:

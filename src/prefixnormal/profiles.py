@@ -10,23 +10,28 @@ All come from one kernel over a batch of prefix-count rows: a word's a-
 and b-counts are a batch of two, a census chunk a batch of 2^14 words.
 Both paths slide windows only from the starts of runs, since a best
 window can always be moved onto a run start or onto a suffix: O(n * rho)
-for a word with rho runs.  A word shorter than 128 slides on one Python
-int per row, a byte per window length; longer words and batches slide
-in vectorized passes over as many run starts as fit a fixed element
-budget (one for a census chunk), on a block stored window axis first in
-the narrowest signed dtype holding n.
+for a word with rho runs.  A word slides on one Python int per row, a
+field per window length: 8 bits below n = 128, 16 bits below 32768 while
+numpy is unloaded and few run starts have slid so.  Other words and
+batches slide in vectorized passes over as many run starts as fit an
+element budget, on a block stored window axis first in a narrow dtype.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from operator import sub
+from struct import pack, unpack
 
 from .words import complement, complement_counts, prefix_counts
 
-# Shorter words take _packed_slide and never import numpy (75-85 ms a
-# process).  With numpy loaded, on two rows, packed vs numpy _slide: 28/50
-# us at n = 64, 47/53 at 96 and 58/54 at 127, crossing near n = 112.
+# Packed vs numpy _slide on a word's two rows: 37/55 us at n = 64, 87/67
+# at 127; 5/1.7 ms at 10^4 in few runs, 10/3.0 at 1.6*10^4, 630/31 for
+# a random 1.6*10^4.  So n < 128 always slides packed, and longer words
+# while their run starts fit a budget, spent before numpy's 70-95 ms import.
 _VECTOR_CUTOFF = 128
+_PACKED_STARTS, _packed_spent = 512, 0
 _BLOCK_BUDGET = 1 << 16  # elements _slide gathers per pass
 
 _KINDS = ("max-a", "min-a", "max-b")
@@ -50,11 +55,11 @@ class OnesProfile:
         v = self.values
         if not v or v[0] != 0:
             raise ValueError("profile must start with values[0] = 0")
-        for k in range(1, len(v)):
-            if v[k] - v[k - 1] not in (0, 1):
-                raise ValueError(
-                    f"profile step at k={k} is {v[k] - v[k - 1]}, "
-                    "expected 0 or 1")
+        if not {0, 1}.issuperset(map(sub, v[1:], v[:-1])):  # at C speed
+            k = next(k for k in range(1, len(v))
+                     if v[k] - v[k - 1] not in (0, 1))
+            raise ValueError(f"profile step at k={k} is {v[k] - v[k - 1]}, "
+                             "expected 0 or 1")
 
     @property
     def n(self) -> int:
@@ -81,27 +86,42 @@ def window_max(rows):
     the result is lists of ints) or an (m, n + 1) integer array, slid as
     the one (n + 1, m) block rows.T (the result is an array of its dtype).
     """
-    n = len(rows[0]) - 1
+    global _packed_spent
+    n, long = len(rows[0]) - 1, len(rows[0]) > _VECTOR_CUTOFF
     if not isinstance(rows, list):
         return _slide(rows.T).T.astype(rows.dtype, copy=False)
-    return [_slide(p)[:, 0].tolist() if n >= _VECTOR_CUTOFF else
-            _packed_slide(p) for p in rows]
+    packs = [] if long and (n >= 1 << 15 or "numpy" in sys.modules) else list(
+        map(_packed, rows))  # a long word rents packed time or buys numpy
+    _packed_spent += long and sum(m.count(b"\0\1") for *_, m in packs)
+    if not packs or long and _packed_spent > _PACKED_STARTS:
+        return [_slide(p)[:, 0].tolist() for p in rows]
+    return list(map(_packed_slide, rows, packs))
 
 
-def _packed_slide(p):
-    """window_max of one count list p with n < 128, on ints with field k in
-    bits 8k..8k+7: out starts as the suffix counts, then takes per 1-run
-    start s the fieldwise max with D[k] = p[s + k] - p[s] (0 past n - s),
-    read off the high bit of out + 128 - D, which never borrows."""
-    n = len(p) - 1
-    ones = int.from_bytes(b"\1" * (n + 1), "little")
-    high, v = ones << 7, int.from_bytes(bytes(p), "little")
-    out = p[n] * ones - int.from_bytes(bytes(p[::-1]), "little")
-    for s in range(n):
-        if p[s + 1] > p[s] and (s == 0 or p[s] == p[s - 1]):
-            d = (v >> 8 * s) - p[s] * (ones >> 8 * s)
-            out = d ^ ((out ^ d) & ((((out | high) - d) & high) >> 7) * 255)
-    return list(out.to_bytes(n + 1, "little"))
+def _packed(p):
+    """p's struct format and field width w, p as one int with p[k] in field
+    k, and its steps after a 0 byte, where b"\0\1" at s marks a 1-run start."""
+    w = 8 if len(p) <= _VECTOR_CUTOFF else 16
+    fmt = f"<{len(p)}{'B' if w == 8 else 'H'}"  # little-endian
+    v = int.from_bytes(pack(fmt, *p), "little")
+    steps = v - (v << w & (1 << w * len(p)) - 1)  # never borrows
+    return fmt, w, v, steps.to_bytes(len(p) * w // 8, "little")[::w // 8]
+
+
+def _packed_slide(p, packed=None):
+    """window_max of one count list p with n < 32768, on ints with p[k] in
+    field k of w = 8 (n < 128) or 16 bits: out starts as the suffix counts,
+    then takes per 1-run start s the fieldwise max with D[k] = p[s + k] -
+    p[s] (0 past n - s), read off the high bit of out + 2^(w-1) - D > 0."""
+    fmt, w, v, marks = packed or _packed(p)
+    ones = int.from_bytes(b"\1\0"[:w // 8] * len(p), "little")
+    high, fill = ones << w - 1, (1 << w) - 1
+    out = p[-1] * ones - int.from_bytes(pack(fmt, *p[::-1]), "little")
+    s = -1
+    while (s := marks.find(b"\0\1", s + 1)) >= 0:
+        d = (v >> w * s) - p[s] * (ones >> w * s)
+        out = d ^ ((out ^ d) & ((((out | high) - d) & high) >> w - 1) * fill)
+    return list(unpack(fmt, out.to_bytes(len(p) * w // 8, "little")))
 
 
 def _count_dtype(n: int) -> str:  # the narrowest signed dtype for 0..n

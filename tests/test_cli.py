@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefixnormal
-from prefixnormal import census, geometry
+from prefixnormal import census, geometry, profiles
 from prefixnormal.census import (CLASS_HISTOGRAM_N8, CLASS_SIZES_N8,
                                  PREFIX_NORMAL_COUNTS, TableExpectations,
                                  class_members)
 from prefixnormal.cli import main
 from prefixnormal.geometry import SUFFIX_PATHS_BOUND
+
+from _oracles import random_word
 
 EXAMPLE_WORD = "ababbaabaabbbaaabbab"
 
@@ -390,25 +394,74 @@ def test_pnf_ab_imports_only_what_it_runs():
                            "json", "numpy"}
 
 
-def _modules_loaded_by(argvs):
-    """Run each argv through cli.main in one fresh process; the names of
-    the modules it then holds."""
+def _run_in_fresh_process(argvs, stdin="", numpy=False):
+    """Run each argv through cli.main in one fresh process, numpy imported
+    first if ``numpy``; what it wrote to stdout and the names of the
+    modules it then holds."""
     src = str(Path(prefixnormal.__file__).resolve().parents[1])
     script = ("import sys, prefixnormal.cli as cli\n"
+              + "import numpy\n" * numpy +
               f"for argv in {argvs!r}:\n"
               "    assert cli.main(argv) in (0, 1), argv\n"
               "print(*sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", script],
+    proc = subprocess.run([sys.executable, "-c", script], input=stdin,
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    end = proc.stdout.rfind("\n", 0, -1) + 1  # the modules' line starts
+    return proc.stdout[:end], set(proc.stdout[end:].split())
+
+
+def _modules_loaded_by(argvs):
+    """The names of the modules a fresh process holds after running each
+    argv through cli.main."""
+    return _run_in_fresh_process(argvs)[1]
+
+
+def _few_runs_text(n, shift=0):
+    """n symbols in runs of 100..299 symbols."""
+    runs = [100 + (37 * i + shift) % 200 for i in range(n // 100 + 1)]
+    return "".join("ab"[i % 2] * m for i, m in enumerate(runs))[:n]
 
 
 def test_words_shorter_than_128_leave_numpy_unloaded():
     word = ("aab" * 43)[:127]
     loaded = _modules_loaded_by([["pnf", word], ["test", word]])
     assert "prefixnormal.profiles" in loaded and "numpy" not in loaded
+
+
+def test_long_few_run_words_leave_numpy_unloaded(tmp_path):
+    word = _few_runs_text(10 ** 4)
+    ix, svg, csv = (str(tmp_path / f) for f in ("ix.json", "r.svg", "r.csv"))
+    argvs = [["index", "build", word, "-o", ix], ["index", "pnf", ix],
+             ["index", "query", ix, "3", "4"],
+             ["region", word, "-o", svg, "--csv", csv], ["pnf", word]]
+    packed = []
+    for argv in argvs:  # each a process of its own, as on the command line
+        out, loaded = _run_in_fresh_process([argv])
+        assert "prefixnormal.profiles" in loaded and "numpy" not in loaded
+        packed.append(out)
+    files = [Path(f).read_bytes() for f in (ix, svg, csv)]
+    out, loaded = _run_in_fresh_process(argvs, numpy=True)
+    assert out == "".join(packed)
+    assert [Path(f).read_bytes() for f in (ix, svg, csv)] == files
+
+
+def test_numpy_loads_past_the_packed_run_start_budget():
+    # A word's call slides packed from as many run starts as the word
+    # has runs; this batch of few-run words has more than the budget.
+    batch, runs = [], 0
+    while runs <= profiles._PACKED_STARTS:
+        batch.append(_few_runs_text(10 ** 4, shift=len(batch)))
+        runs += len(re.findall("a+|b+", batch[-1]))
+    stdin = "\n".join(batch) + "\n"
+    out, loaded = _run_in_fresh_process([["pnf", "-"]], stdin)
+    assert "numpy" in loaded
+    assert out == _run_in_fresh_process([["pnf", "-"]], stdin, True)[0]
+    word = random_word(random.Random(2413), 2000)
+    out, loaded = _run_in_fresh_process([["pnf", word]])
+    assert "numpy" in loaded
+    assert out == _run_in_fresh_process([["pnf", word]], numpy=True)[0]
 
 
 def test_query_and_region_leave_json_unloaded(tmp_path):

@@ -156,6 +156,41 @@ def test_packed_slide_matches_numpy_and_brute_scan(w):
             assert [profiles._packed_slide(p)] == expected
 
 
+@st.composite
+def words_128_to_2000(draw):
+    """Words of 128 <= n <= 2000 symbols, with n = 128 drawn explicitly:
+    all a's, all b's, random, or a few runs."""
+    n = draw(st.one_of(st.just(128), st.integers(128, 2000)))
+    kind = draw(st.sampled_from(["a", "b", "random", "runs"]))
+    if kind == "random":
+        return random_word(draw(st.randoms(use_true_random=False)), n)
+    if kind == "runs":
+        cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
+        order = draw(st.sampled_from(["ab", "ba"]))
+        return "".join(order[i % 2] * (hi - lo) for i, (lo, hi)
+                       in enumerate(zip([0, *cuts], [*cuts, n])))
+    return kind * n
+
+
+@given(words_128_to_2000())
+def test_packed_slide_on_16_bit_fields(w):
+    rows = _rows(w, True)
+    expected = (brute_window_max if len(w) <= 1000 else scan_window_max)(rows)
+    assert [profiles._slide(p)[:, 0].tolist() for p in rows] == expected
+    assert [profiles._packed_slide(p) for p in rows] == expected
+
+
+def test_packed_slide_at_the_last_16_bit_length():
+    # a^a1 b^b a^a2 with n = 32767, the longest word with 16-bit fields
+    a1, b, a2 = 12000, 9000, 11767
+    w = "a" * a1 + "b" * b + "a" * a2
+    max_a, min_a = _closed_form_bounds(a1, b, a2)
+    expected = [max_a, complement_counts(min_a)]
+    rows = _rows(w, True)
+    assert [profiles._packed_slide(p) for p in rows] == expected
+    assert [profiles._slide(p)[:, 0].tolist() for p in rows] == expected
+
+
 def _few_runs_word(rng, n):
     runs = []
     while sum(map(len, runs)) < n:
