@@ -9,9 +9,8 @@ on Python lists; longer ones and the iterators grow int8 numpy blocks.
 The class census groups all 2^n words of a length by their prefix normal
 form: it streams the words in fixed-size chunks, one vectorized pass per
 chunk, into one array of class sizes indexed by word code, and decodes
-representatives to words only for output.  ``jobs`` is only validated:
-every command runs in this process.  Reference data for the known
-count/class tables is frozen here and re-derived by verify_tables.
+representatives to words only for output.  Reference data for the
+known count/class tables is frozen here and re-derived by verify_tables.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from functools import reduce
 from typing import Iterator
 
 from .pnf import _a_extends, is_prefix_normal
-from .profiles import window_max
+from .profiles import _trusted, window_max
 from .words import parse_word
 
 DEFAULT_COUNT_BOUND = 24
@@ -131,13 +130,13 @@ def iter_pre_necklaces(n: int) -> Iterator[str]:
 
 
 def _check_jobs(jobs: int) -> None:
+    """Counts and censuses run in this process; ``jobs`` is only checked."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
 
-def _tree_counts(kind: str, max_n: int, jobs: int) -> list[int]:
-    """Words per length 0..max_n; ``jobs`` is only validated."""
-    _check_jobs(jobs)
+def _tree_counts(kind: str, max_n: int) -> list[int]:
+    """Words per length 0..max_n."""
     sizes = [1] + [0] * max_n
     if max_n <= _LIST_MAX_N:
         level = [(0,) if kind == "pn" else ((1,), 1)]
@@ -152,25 +151,25 @@ def _tree_counts(kind: str, max_n: int, jobs: int) -> list[int]:
     return sizes
 
 
-def _check_count_args(n: int, bound: int) -> None:
+def _check_count_args(n: int, jobs: int) -> None:
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
-    if n > bound:
-        raise ValueError(f"length {n} exceeds the counting bound {bound}")
+    if n > DEFAULT_COUNT_BOUND:
+        raise ValueError(f"length {n} exceeds the counting bound "
+                         f"{DEFAULT_COUNT_BOUND}")
+    _check_jobs(jobs)
 
 
-def count_prefix_normal(n: int, bound: int = DEFAULT_COUNT_BOUND,
-                        jobs: int = 1) -> int:
+def count_prefix_normal(n: int, jobs: int = 1) -> int:
     """Number of prefix normal words of length ``n``."""
-    _check_count_args(n, bound)
-    return _tree_counts("pn", n, jobs)[n]
+    _check_count_args(n, jobs)
+    return _tree_counts("pn", n)[n]
 
 
-def count_pre_necklaces(n: int, bound: int = DEFAULT_COUNT_BOUND,
-                        jobs: int = 1) -> int:
+def count_pre_necklaces(n: int, jobs: int = 1) -> int:
     """Number of pre-necklaces of length ``n``."""
-    _check_count_args(n, bound)
-    return _tree_counts("pl", n, jobs)[n]
+    _check_count_args(n, jobs)
+    return _tree_counts("pl", n)[n]
 
 
 @dataclass(frozen=True)
@@ -180,7 +179,6 @@ class CountsRow:
     n: int
     count_prefix_normal: int | None
     count_pre_necklace: int | None
-    max_class_size: int | None = None
 
     def __post_init__(self):
         if (self.count_prefix_normal is not None
@@ -189,12 +187,9 @@ class CountsRow:
             raise ValueError(
                 "prefix normal words are pre-necklaces; counts "
                 f"{self.count_prefix_normal} > {self.count_pre_necklace}")
-        if self.max_class_size is not None and self.max_class_size > 2 ** self.n:
-            raise ValueError("class size cannot exceed the number of words")
 
 
 def counts_table(max_n: int, what: str = "both",
-                 bound: int = DEFAULT_COUNT_BOUND,
                  jobs: int = 1) -> list[CountsRow]:
     """CountsRows for n = 1..max_n, one tree per selected language.
 
@@ -202,11 +197,12 @@ def counts_table(max_n: int, what: str = "both",
     """
     if what not in ("pnf", "prenecklace", "both"):
         raise ValueError(f"unknown selection {what!r}")
-    _check_count_args(max_n, bound)
+    _check_count_args(max_n, jobs)
     none = [None] * (max_n + 1)
-    pn = _tree_counts("pn", max_n, jobs) if what != "prenecklace" else none
-    pl = _tree_counts("pl", max_n, jobs) if what != "pnf" else none
-    return [CountsRow(n, pn[n], pl[n]) for n in range(1, max_n + 1)]
+    pn = _tree_counts("pn", max_n) if what != "prenecklace" else none
+    pl = _tree_counts("pl", max_n) if what != "pnf" else none
+    return [_trusted(CountsRow, n=n, count_prefix_normal=pn[n],
+                     count_pre_necklace=pl[n]) for n in range(1, max_n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +270,19 @@ class ClassCensus:
         """How many classes have each cardinality."""
         return dict(sorted(Counter(self.classes.values()).items()))
 
-    def max_class_size(self) -> int:
-        return max(self.classes.values())
 
-
-def _check_census_args(n: int, bound: int) -> None:
+def _check_census_args(n: int) -> None:
     if n < 0:
         raise ValueError(f"length must be non-negative, got {n}")
-    if n > bound:
-        raise ValueError(f"length {n} exceeds the census bound {bound} "
-                         "(the census scans all 2^n words)")
+    if n > DEFAULT_CENSUS_BOUND:
+        raise ValueError(f"length {n} exceeds the census bound "
+                         f"{DEFAULT_CENSUS_BOUND} (the census scans all 2^n "
+                         "words)")
 
 
-def class_census(n: int, bound: int = DEFAULT_CENSUS_BOUND,
-                 jobs: int = 1) -> ClassCensus:
+def class_census(n: int, jobs: int = 1) -> ClassCensus:
     """Group all 2^n words of length ``n`` by prefix normal form."""
-    _check_census_args(n, bound)
+    _check_census_args(n)
     _check_jobs(jobs)
     reps, sizes = _classes(n)
     classes: dict[str, int] = {}
@@ -297,24 +290,22 @@ def class_census(n: int, bound: int = DEFAULT_CENSUS_BOUND,
         hi = lo + _BATCH_COLUMNS
         classes.update(zip(_code_texts(reps[lo:hi], n),
                            sizes[lo:hi].tolist()))
-    return ClassCensus(n, classes, 1 << n)
+    return _trusted(ClassCensus, n=n, classes=classes, total_words=1 << n)
 
 
-def max_class_size(n: int, bound: int = DEFAULT_CENSUS_BOUND,
-                   jobs: int = 1) -> int:
+def max_class_size(n: int) -> int:
     """Largest class cardinality in the length-``n`` census."""
-    _check_census_args(n, bound)
-    _check_jobs(jobs)
+    _check_census_args(n)
     return int(_classes(n)[1].max())
 
 
-def class_members(pnf: str, bound: int = DEFAULT_CENSUS_BOUND) -> list[str]:
+def class_members(pnf: str) -> list[str]:
     """All words whose prefix normal form is ``pnf``, lexicographically.
 
     ``pnf`` must itself be prefix normal (it is its class representative).
     """
     n = len(parse_word(pnf))
-    _check_census_args(n, bound)  # before a kernel pass over a long word
+    _check_census_args(n)  # before a kernel pass over a long word
     if not is_prefix_normal(pnf):
         raise ValueError(f"{pnf!r} is not prefix normal")
     import numpy as np
@@ -419,18 +410,19 @@ def verify_tables(expected: TableExpectations | None = None,
     if not 1 <= limit <= len(exp.prefix_normal_counts):
         raise ValueError(
             f"max_n must be in 1..{len(exp.prefix_normal_counts)}")
+    _check_jobs(jobs)
     cells: list[CellCheck] = []
 
     for kind, name, counts in (("pn", "prefix-normal",
                                 exp.prefix_normal_counts),
                                ("pl", "pre-necklace",
                                 exp.pre_necklace_counts)):
-        found = _tree_counts(kind, limit, jobs)
+        found = _tree_counts(kind, limit)
         cells += [CellCheck(f"{name} count n={n}", counts[n - 1], found[n])
                   for n in range(1, limit + 1)]
 
     for n, sizes in ((4, exp.class_sizes_n4), (8, exp.class_sizes_n8)):
-        result = class_census(n, jobs=jobs)
+        result = class_census(n)
         found = result.classes
         cells.append(CellCheck(f"class count n={n}", len(sizes), len(found)))
         cells += [CellCheck(f"class size n={n} {rep}", size, found.get(rep))
@@ -440,8 +432,6 @@ def verify_tables(expected: TableExpectations | None = None,
         cells.append(CellCheck(f"class histogram n=8 size={size}", classes,
                                hist.get(size)))
 
-    for n in range(1, limit + 1):
-        cells.append(CellCheck(f"max class size n={n}",
-                               exp.max_class_sizes[n - 1],
-                               max_class_size(n, jobs=jobs)))
+    cells += [CellCheck(f"max class size n={n}", exp.max_class_sizes[n - 1],
+                        max_class_size(n)) for n in range(1, limit + 1)]
     return VerificationReport(cells)

@@ -29,6 +29,8 @@ def _each_word(args, handle) -> int:
     if args.word != "-":
         return handle(parse_word(args.word, args.alphabet))
     lines = sys.stdin
+    if lines is None:  # closed when the process started
+        raise OSError("stdin is closed")
     if hasattr(lines, "buffer"):  # a text stream over bytes
         lines = (raw.decode("utf-8", "surrogateescape")
                  for raw in lines.buffer)
@@ -179,7 +181,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_classes(args) -> int:
     from . import census
-    census._check_jobs(args.jobs)
+    census._check_jobs(args.jobs)  # class_members takes no jobs
     if args.members is not None:
         rep = parse_word(args.members, args.alphabet)
         if args.n is not None and args.n != len(rep):
@@ -193,7 +195,7 @@ def cmd_classes(args) -> int:
         return 0
     if args.n is None:
         raise ValueError("either --n or --members is required")
-    result = census.class_census(args.n, jobs=args.jobs)
+    result = census.class_census(args.n)
     if args.format == "json":
         doc = {"n": result.n, "classes": result.classes}
         if args.histogram:
@@ -328,6 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if sys.stdout is None and not getattr(args, "output", None):
+            raise OSError("stdout is closed")  # print would drop the output
         return args.handler(args)
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

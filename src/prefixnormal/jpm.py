@@ -110,15 +110,16 @@ def parikh_set_equal(w: str, w2: str) -> bool:
     return a_count_bounds(w) == a_count_bounds(w2)
 
 
-def parikh_set_oracle(w: str, bound: int = DEFAULT_ORACLE_BOUND) -> set[ParikhVector]:
+def parikh_set_oracle(w: str) -> set[ParikhVector]:
     """The exact factor Parikh-vector set, by enumerating all O(n^2) factors.
 
     A brute-force reference for tests and small inputs; refuses words
-    longer than ``bound``.
+    longer than DEFAULT_ORACLE_BOUND.
     """
     n = len(w)
-    if n > bound:
-        raise ValueError(f"word length {n} exceeds oracle bound {bound}")
+    if n > DEFAULT_ORACLE_BOUND:
+        raise ValueError(f"word length {n} exceeds oracle bound "
+                         f"{DEFAULT_ORACLE_BOUND}")
     pref = prefix_counts(w)
     vectors = {ParikhVector(0, 0)}
     for k in range(1, n + 1):  # every factor of length k, one a-count each

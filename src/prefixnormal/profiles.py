@@ -90,7 +90,7 @@ def window_max(rows):
     n, long = len(rows[0]) - 1, len(rows[0]) > _VECTOR_CUTOFF
     if not isinstance(rows, list):
         return _slide(rows.T).T.astype(rows.dtype, copy=False)
-    packs = [] if long and (n >= 1 << 15 or "numpy" in sys.modules) else list(
+    packs = [] if n >= 1 << 15 or long and "numpy" in sys.modules else list(
         map(_packed, rows))  # a long word rents packed time or buys numpy
     _packed_spent += long and sum(m.count(b"\0\1") for *_, m in packs)
     if not packs or long and _packed_spent > _PACKED_STARTS:
@@ -101,7 +101,7 @@ def window_max(rows):
 def _packed(p):
     """p's struct format and field width w, p as one int with p[k] in field
     k, and its steps after a 0 byte, where b"\0\1" at s marks a 1-run start."""
-    w = 8 if len(p) <= _VECTOR_CUTOFF else 16
+    w = 8 if _count_dtype(len(p) - 1) == "int8" else 16  # by n, as _slide
     fmt = f"<{len(p)}{'B' if w == 8 else 'H'}"  # little-endian
     v = int.from_bytes(pack(fmt, *p), "little")
     steps = v - (v << w & (1 << w * len(p)) - 1)  # never borrows

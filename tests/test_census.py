@@ -37,13 +37,11 @@ def test_count_pre_necklaces_examples():
 def test_count_bounds():
     with pytest.raises(ValueError):
         count_prefix_normal(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds the counting bound 24"):
         count_prefix_normal(25)
     with pytest.raises(ValueError):
         count_pre_necklaces(30)
-    with pytest.raises(ValueError):
-        count_prefix_normal(5, bound=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds the census bound 20"):
         class_census(21)
 
 
@@ -72,11 +70,18 @@ def test_counts_table_selection():
         counts_table(5, what="everything")
 
 
+def test_built_results_equal_checked_constructions():
+    # counts_table and class_census build their results without running
+    # the constructors' checks; they equal what the checked ones build
+    assert counts_table(3) == [CountsRow(1, 2, 2), CountsRow(2, 3, 3),
+                               CountsRow(3, 5, 5)]
+    assert class_census(4) == ClassCensus(4, CLASS_SIZES_N4, 16)
+    assert counts_table(2, what="pnf")[1] == CountsRow(2, 3, None)
+
+
 def test_counts_row_validation():
     with pytest.raises(ValueError):
         CountsRow(8, 71, 70)
-    with pytest.raises(ValueError):
-        CountsRow(2, 3, 4, max_class_size=5)
 
 
 def test_iterators_lexicographic_and_complete():
@@ -211,7 +216,7 @@ def test_subtree_counts_sum_to_serial_counts():
             part = subtree_counts(kind, root, 14)
             assert part[:6] == [0] * 6 and part[6] == 1
             total = [t + c for t, c in zip(total, part)]
-        assert total[6:] == census._tree_counts(kind, 14, 1)[6:]
+        assert total[6:] == census._tree_counts(kind, 14)[6:]
 
 
 def test_frontier_counts_match_walkers(monkeypatch):
@@ -222,7 +227,7 @@ def test_frontier_counts_match_walkers(monkeypatch):
         monkeypatch.setattr(census, "_LIST_MAX_N", cut)
         for kind in ("pn", "pl"):
             for n in range(19):
-                assert census._tree_counts(kind, n, 1) == subtree_counts(
+                assert census._tree_counts(kind, n) == subtree_counts(
                     kind, "", n)
 
 
@@ -241,7 +246,7 @@ def test_frontier_batches_split_anywhere(monkeypatch):
     for kind, words in (("pn", iter_prefix_normal),
                         ("pl", iter_pre_necklaces)):
         for n in range(13):
-            assert census._tree_counts(kind, n, 1) == subtree_counts(
+            assert census._tree_counts(kind, n) == subtree_counts(
                 kind, "", n)
             assert list(words(n)) == walk_words(kind, n)
 
@@ -319,9 +324,9 @@ def test_jobs_clamped_to_cpus_and_tasks(monkeypatch, pool_sizes):
     assert count_prefix_normal(14, jobs=1000) == 2279
     serial = class_census(18).classes
     assert class_census(18, jobs=1000).classes == serial
-    assert sizes == []                       # 4 chunks
+    assert sizes == []                       # 16 chunks
     assert class_census(17, jobs=1000).classes == class_census(17).classes
-    assert sizes == []                       # 2 chunks
+    assert sizes == []                       # 8 chunks
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert count_pre_necklaces(14, jobs=8) == 2538
     assert class_census(18, jobs=8).classes == serial
@@ -331,10 +336,8 @@ def test_jobs_clamped_to_cpus_and_tasks(monkeypatch, pool_sizes):
 def test_split_paths_match_serial_in_process(monkeypatch, pool_sizes):
     # counting runs in this process whatever jobs says
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    for kind in ("pn", "pl"):
-        for n in (14, 18):
-            assert (census._tree_counts(kind, n, 2)
-                    == census._tree_counts(kind, n, 1))
+    for n in (14, 18):
+        assert counts_table(n, jobs=2) == counts_table(n)
     assert count_pre_necklaces(14, jobs=2) == count_pre_necklaces(14)
     assert pool_sizes == []
     assert verify_tables(max_n=16, jobs=2).all_ok

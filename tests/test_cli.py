@@ -484,6 +484,58 @@ def test_stdin_lines_decode_as_utf8_whatever_the_io_encoding():
                            b"at position 1 (alphabet 'ab')\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--max-n", "16"],                   # the list counts
+    ["enumerate", "--max-n", "18", "--format", "csv"],  # the numpy counts
+    ["classes", "--n", "12", "--histogram", "--format", "json"],
+    ["classes", "--members", "aabab"],
+    ["verify-tables", "--max-n", "6"],
+])
+def test_output_does_not_depend_on_jobs(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    for jobs in ("1", "2", "7"):
+        assert run(capsys, *argv, "--jobs", jobs) == (code, out, err)
+
+
+def _run_with_closed(redirect, argv):
+    """Run the CLI in a fresh process whose stdin (``<&-``) or stdout
+    (``>&-``) is closed before Python starts."""
+    src = str(Path(prefixnormal.__file__).resolve().parents[1])
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m",
+         "prefixnormal.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("redirect, argv", [
+    ("<&-", ["pnf", "-"]),
+    ("<&-", ["test", "--format", "json", "-"]),
+    (">&-", ["pnf", "ab"]),
+    (">&-", ["classes", "--n", "3"]),
+    (">&-", ["region", "ab"]),
+    (">&-", ["verify-tables", "--max-n", "1"]),
+])
+def test_closed_standard_stream_is_usage_error(redirect, argv):
+    # not a traceback, a verdict's exit 1, or output dropped with exit 0
+    proc = _run_with_closed(redirect, argv)
+    stream = "stdin" if redirect == "<&-" else "stdout"
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {stream} is closed\n"
+
+
+def test_closed_stream_unused_by_the_command(tmp_path):
+    # a word argument reads no stdin, and -o writes no stdout
+    proc = _run_with_closed("<&-", ["pnf", "ab"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "PNF_a: ab\nPNF_b: ba\n", "")
+    for argv in (["region", "ab", "-o", str(tmp_path / "r.svg")],
+                 ["index", "build", "ab", "-o", str(tmp_path / "i.json")]):
+        proc = _run_with_closed(">&-", argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert Path(argv[-1]).read_text().endswith("\n")
+
+
 def test_census_starts_no_process():
     src = str(Path(prefixnormal.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -72,3 +73,34 @@ def test_unknown_name_raises_attribute_error():
         prefixnormal.no_such_name
     with pytest.raises(ImportError):
         exec("from prefixnormal import no_such_name", {})
+
+
+# The parameters of the census functions and the oracle.  Their size bounds
+# are the fixed DEFAULT_*_BOUND constants, not parameters.
+SIGNATURES = {
+    "count_prefix_normal": ["n", "jobs"],
+    "count_pre_necklaces": ["n", "jobs"],
+    "counts_table": ["max_n", "what", "jobs"],
+    "class_census": ["n", "jobs"],
+    "verify_tables": ["expected", "max_n", "jobs"],
+    "max_class_size": ["n"],
+    "class_members": ["pnf"],
+    "iter_prefix_normal": ["n"],
+    "iter_pre_necklaces": ["n"],
+    "parikh_set_oracle": ["w"],
+}
+
+
+def test_census_and_oracle_parameters_are_pinned():
+    for name, params in SIGNATURES.items():
+        signature = inspect.signature(getattr(prefixnormal, name))
+        assert list(signature.parameters) == params, name
+
+
+def test_traced_bench_replay_can_still_pass_jobs():
+    # Every count and census runs in one process, so the library reads
+    # ``jobs`` only to check it; the keyword stays because the bench's
+    # traced replay (bench/tracing.py) calls these five with jobs=.
+    for name in ("count_prefix_normal", "count_pre_necklaces",
+                 "counts_table", "class_census", "verify_tables"):
+        inspect.signature(getattr(prefixnormal, name)).bind(4, jobs=2)

@@ -10,6 +10,7 @@ from prefixnormal import (JumbledIndex, OnesProfile, PnfPair, build_index,
                           index_from_json, index_from_pnf, index_to_json,
                           parikh_set_equal, parikh_set_oracle, pnf_from_index,
                           pnf_pair, query, reverse)
+from prefixnormal.jpm import DEFAULT_ORACLE_BOUND
 
 from _oracles import brute_parikh_set, random_word, words_of_length, words_up_to
 
@@ -129,8 +130,10 @@ def test_oracle_examples():
     assert parikh_set_oracle("") == {(0, 0)}
     assert parikh_set_oracle("ab") == {(0, 0), (1, 0), (0, 1), (1, 1)}
     assert parikh_set_oracle("aa") == {(0, 0), (1, 0), (2, 0)}
-    with pytest.raises(ValueError):
-        parikh_set_oracle("ab" * 30, bound=50)
+    # the bound is the fixed DEFAULT_ORACLE_BOUND, inclusive
+    assert len(parikh_set_oracle("a" * DEFAULT_ORACLE_BOUND)) == 1001
+    with pytest.raises(ValueError, match="exceeds oracle bound 1000"):
+        parikh_set_oracle("a" * (DEFAULT_ORACLE_BOUND + 1))
 
 
 def test_oracle_matches_slice_enumeration():

@@ -180,6 +180,18 @@ def test_packed_slide_on_16_bit_fields(w):
     assert [profiles._packed_slide(p) for p in rows] == expected
 
 
+def test_packed_field_width_follows_the_length_not_the_cutoff(monkeypatch):
+    # 8-bit fields hold counts below 128 only: with the speed cutoff raised
+    # past 256, words of 128 <= n < 256 still slide packed, on 16-bit fields
+    monkeypatch.setattr(profiles, "_VECTOR_CUTOFF", 300)
+    rng = random.Random(2412)
+    for i in range(60):
+        n = (127, 128)[i] if i < 2 else rng.randrange(128, 256)
+        w = (random_word if i % 2 else _few_runs_word)(rng, n)
+        rows = _rows(w, True)
+        assert profiles.window_max(rows) == brute_window_max(rows)
+
+
 def test_packed_slide_at_the_last_16_bit_length():
     # a^a1 b^b a^a2 with n = 32767, the longest word with 16-bit fields
     a1, b, a2 = 12000, 9000, 11767
