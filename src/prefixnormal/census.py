@@ -21,7 +21,7 @@ from functools import reduce
 from typing import Iterator
 
 from .pnf import _a_extends, is_prefix_normal
-from .profiles import _trusted, window_max
+from .profiles import _count_dtype, _trusted, window_max
 from .words import parse_word
 
 DEFAULT_COUNT_BOUND = 24
@@ -217,7 +217,7 @@ def _pnf_codes(n: int, start: int, stop: int):
     """
     import numpy as np
     a_bits = ~np.arange(start, stop)  # bit n - 1 - k set: an a at k
-    prefix = np.zeros((n + 1, stop - start), np.int8)  # n <= 63, as a level
+    prefix = np.zeros((n + 1, stop - start), _count_dtype(n))  # no copy
     for k in range(n):  # window axis first: one contiguous row per k
         prefix[k + 1] = prefix[k] + (a_bits >> (n - 1 - k) & 1)
     steps = np.diff(window_max(prefix.T).T, axis=0)  # 1 at each a of the PNF

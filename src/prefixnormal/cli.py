@@ -61,6 +61,15 @@ def _columns_table(rows: list[tuple[str, list[object]]]) -> str:
         for (label, _), row in zip(rows, table))
 
 
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _print_json(doc) -> None:
     import json  # only commands that print JSON load it
     print(json.dumps(doc))
@@ -125,12 +134,7 @@ def cmd_index(args) -> int:
     from . import jpm
     if args.index_cmd == "build":
         w = parse_word(args.word, args.alphabet)
-        doc = jpm.index_to_json(jpm.build_index(w))
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(doc + "\n")
-        else:
-            print(doc)
+        _write(args.output, jpm.index_to_json(jpm.build_index(w)) + "\n")
         return 0
     with open(args.file, encoding="utf-8") as fh:
         ix, pair = jpm._load_index(fh.read())
@@ -142,15 +146,10 @@ def cmd_index(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from dataclasses import asdict
     from . import lyndon
     def one(w: str) -> int:
-        c = lyndon.classify(w)
-        _print_json({
-            "is_lyndon": c.is_lyndon,
-            "is_necklace": c.is_necklace,
-            "is_pre_necklace": c.is_pre_necklace,
-            "is_prefix_normal": c.is_prefix_normal,
-        })
+        _print_json(asdict(lyndon.classify(w)))  # WordClass's fields, in order
         return 0
     return _each_word(args, one)
 
@@ -220,13 +219,8 @@ def cmd_region(args) -> int:
     reg = geometry.region(w)
     svg = reg.svg(w, unit=args.unit, suffix_paths=args.suffix_paths)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(reg.csv())
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    else:
-        sys.stdout.write(svg)
+        _write(args.csv, reg.csv())
+    _write(args.output, svg)
     return 0
 
 
@@ -254,6 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--alphabet", choices=("ab", "binary"), default="ab",
                         help="input alphabet: a/b, or 0/1 with 1 as a")
+    batch = argparse.ArgumentParser(add_help=False)
+    batch.add_argument("word", help="word, or - to read words from stdin")
 
     def add(name, handler, help_, parents=(common,), fmt=None):
         p = sub.add_parser(name, parents=list(parents), help=help_)
@@ -262,26 +258,21 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=fmt, default=fmt[0])
         return p
 
-    p = add("pnf", cmd_pnf, "print both prefix normal forms",
-            fmt=("text", "json"))
-    p.add_argument("word", help="word, or - to read words from stdin")
-
-    p = add("test", cmd_test, "test prefix normality; exit 1 when not",
-            fmt=("text", "json"))
-    p.add_argument("word", help="word, or - to read words from stdin")
-
-    p = add("profiles", cmd_profiles, "per-length factor count table",
-            fmt=("text", "json"))
-    p.add_argument("word", help="word, or - to read words from stdin")
+    add("pnf", cmd_pnf, "print both prefix normal forms",
+        parents=(common, batch), fmt=("text", "json"))
+    add("test", cmd_test, "test prefix normality; exit 1 when not",
+        parents=(common, batch), fmt=("text", "json"))
+    add("profiles", cmd_profiles, "per-length factor count table",
+        parents=(common, batch), fmt=("text", "json"))
 
     p = add("query", cmd_query, "does a factor with x a's and y b's occur")
     p.add_argument("word")
     p.add_argument("x", type=int)
     p.add_argument("y", type=int)
 
-    p = add("classify", cmd_classify,
-            "Lyndon/necklace/pre-necklace/prefix-normal bits as JSON")
-    p.add_argument("word", help="word, or - to read words from stdin")
+    add("classify", cmd_classify,
+        "Lyndon/necklace/pre-necklace/prefix-normal bits as JSON",
+        parents=(common, batch))
 
     p = sub.add_parser("index", help="build and use a saved occurrence index")
     p.set_defaults(handler=cmd_index)

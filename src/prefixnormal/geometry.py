@@ -146,14 +146,14 @@ def region_csv(w: str) -> str:
 
 
 def check_render(n: int, unit: int, suffix_paths: bool) -> None:
-    """Reject a word too long to render as asked or a non-positive unit."""
+    """Reject a word too long to render as asked, or a unit not an int >= 1."""
     if n > RENDER_BOUND:
         raise ValueError(f"word length {n} exceeds render bound "
                          f"{RENDER_BOUND}")
     if suffix_paths and n > SUFFIX_PATHS_BOUND:
         raise ValueError(f"word length {n} exceeds the suffix-path bound "
                          f"{SUFFIX_PATHS_BOUND}")
-    if unit < 1:
+    if type(unit) is not int or unit < 1:
         raise ValueError("unit must be a positive integer")
 
 

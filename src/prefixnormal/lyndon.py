@@ -24,9 +24,29 @@ from .words import parse_word
 
 def is_lyndon(w: str) -> bool:
     """True iff ``w`` is nonempty and strictly smaller than every proper
-    nonempty suffix, that is a pre-necklace whose Lyndon prefix-period is
-    its whole length.  Empty words are not Lyndon by convention."""
-    return bool(w) and _lyndon_prefix_period(w) == len(w)
+    nonempty suffix.  Empty words are not Lyndon by convention."""
+    return _lyndon_bits(w)[0]
+
+
+def is_necklace(w: str) -> bool:
+    """True iff ``w`` is a power of a Lyndon word (nonempty)."""
+    return _lyndon_bits(w)[1]
+
+
+def is_pre_necklace(w: str) -> bool:
+    """True iff ``w`` is a prefix of u^k for some Lyndon word u, k >= 1.
+
+    The empty word qualifies vacuously.
+    """
+    return _lyndon_bits(w)[2]
+
+
+def _lyndon_bits(w: str) -> tuple[bool, bool, bool]:
+    """Whether ``w`` is Lyndon, a necklace and a pre-necklace, from one
+    scan: a pre-necklace is Lyndon when its Lyndon prefix-period is its
+    whole length, and a necklace when the period divides the length."""
+    p, n = _lyndon_prefix_period(w), len(w)
+    return n > 0 and p == n, n > 0 and p > 0 and n % p == 0, n == 0 or p > 0
 
 
 def _lyndon_prefix_period(w: str) -> int:
@@ -42,22 +62,6 @@ def _lyndon_prefix_period(w: str) -> int:
         if cur > prev:
             p = t
     return p
-
-
-def is_pre_necklace(w: str) -> bool:
-    """True iff ``w`` is a prefix of u^k for some Lyndon word u, k >= 1.
-
-    The empty word qualifies vacuously.
-    """
-    return not w or _lyndon_prefix_period(w) > 0
-
-
-def is_necklace(w: str) -> bool:
-    """True iff ``w`` is a power of a Lyndon word (nonempty)."""
-    if not w:
-        return False
-    p = _lyndon_prefix_period(w)
-    return p > 0 and len(w) % p == 0
 
 
 @dataclass(frozen=True)
@@ -77,10 +81,4 @@ class WordClass:
 def classify(w: str) -> WordClass:
     """Classify ``w`` against all four predicates; the three Lyndon bits
     come from one scan."""
-    p = _lyndon_prefix_period(w)
-    return WordClass(
-        is_lyndon=bool(w) and p == len(w),
-        is_necklace=bool(w) and p > 0 and len(w) % p == 0,
-        is_pre_necklace=not w or p > 0,
-        is_prefix_normal=is_prefix_normal(w),
-    )
+    return WordClass(*_lyndon_bits(w), is_prefix_normal(w))

@@ -118,16 +118,13 @@ def is_prefix_normal(w: str, method: str = "profile") -> bool:
     return impl(w)
 
 
-def can_extend_with_a(w: str, validate: bool = False) -> bool:
+def can_extend_with_a(w: str) -> bool:
     """For prefix normal ``w``, decide whether w·a is prefix normal.
 
     True iff for every 0 <= k < len(w) the suffix of length k has fewer
-    a's than the prefix of length k+1.  The caller guarantees that ``w``
-    itself is prefix normal; pass validate=True to have that checked
-    (enumeration keeps it off on the hot path).
+    a's than the prefix of length k+1.  That w itself is prefix normal is
+    the caller's to know; it is not checked (is_prefix_normal does that).
     """
-    if validate and not is_prefix_normal(w):
-        raise ValueError(f"{w!r} is not prefix normal")
     return _a_extends(prefix_counts(w), len(w))
 
 

@@ -11,15 +11,14 @@ and b-counts are a batch of two, a census chunk a batch of 2^14 words.
 Both paths slide windows only from the starts of runs, since a best
 window can always be moved onto a run start or onto a suffix: O(n * rho)
 for a word with rho runs.  A word slides on one Python int per row, a
-field per window length: 8 bits below n = 128, 16 bits below 32768 while
-numpy is unloaded and few run starts have slid so.  Other words and
+field per window length: 8 bits below n = 128, and 16 bits below 32768
+while the run starts the process slid so fit a budget.  Other words and
 batches slide in vectorized passes over as many run starts as fit an
 element budget, on a block stored window axis first in a narrow dtype.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from operator import sub
 from struct import pack, unpack
@@ -28,9 +27,9 @@ from .words import complement, complement_counts, prefix_counts
 
 # Packed vs numpy _slide on a word's two rows: 37/55 us at n = 64, 87/67
 # at 127; 5/1.7 ms at 10^4 in few runs, 10/3.0 at 1.6*10^4, 630/31 for
-# a random 1.6*10^4.  So n < 128 always slides packed, and longer words
-# while their run starts fit a budget, spent before numpy's 70-95 ms import.
-_VECTOR_CUTOFF = 128
+# a random 1.6*10^4.  So a list word's path reads its width class and
+# _packed_spent only: 8-bit always packed, 16-bit while the run starts slid
+# so fit a budget (even if numpy is loaded), before numpy's 70-95 ms import.
 _PACKED_STARTS, _packed_spent = 512, 0
 _BLOCK_BUDGET = 1 << 16  # elements _slide gathers per pass
 
@@ -87,15 +86,16 @@ def window_max(rows):
     the one (n + 1, m) block rows.T (the result is an array of its dtype).
     """
     global _packed_spent
-    n, long = len(rows[0]) - 1, len(rows[0]) > _VECTOR_CUTOFF
     if not isinstance(rows, list):
         return _slide(rows.T).T.astype(rows.dtype, copy=False)
-    packs = [] if n >= 1 << 15 or long and "numpy" in sys.modules else list(
-        map(_packed, rows))  # a long word rents packed time or buys numpy
-    _packed_spent += long and sum(m.count(b"\0\1") for *_, m in packs)
-    if not packs or long and _packed_spent > _PACKED_STARTS:
-        return [_slide(p)[:, 0].tolist() for p in rows]
-    return list(map(_packed_slide, rows, packs))
+    width = _count_dtype(len(rows[0]) - 1)
+    rent = width == "int16" and _packed_spent <= _PACKED_STARTS
+    if width == "int8" or rent:  # a 16-bit word rents packed time
+        packs = list(map(_packed, rows))
+        _packed_spent += rent and sum(m.count(b"\0\1") for *_, m in packs)
+        if width == "int8" or _packed_spent <= _PACKED_STARTS:
+            return list(map(_packed_slide, rows, packs))
+    return [_slide(p)[:, 0].tolist() for p in rows]
 
 
 def _packed(p):

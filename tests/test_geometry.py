@@ -128,6 +128,15 @@ def test_render_bounds():
         render_svg("ab", unit=0)
 
 
+@pytest.mark.parametrize("unit", [2.5, 2.0, True, "3", None])
+def test_render_rejects_a_unit_that_is_not_an_int(unit):
+    # 2.5 drew width="10.0" coordinates and True drew at 1 px
+    with pytest.raises(ValueError, match="unit must be a positive integer"):
+        render_svg("ab", unit=unit)
+    with pytest.raises(ValueError, match="unit must be a positive integer"):
+        region("ab").svg("ab", unit=unit)
+
+
 def test_suffix_paths_bound():
     w = "ab" * (SUFFIX_PATHS_BOUND // 2) + "a"
     assert render_svg(w).startswith("<svg")

@@ -93,12 +93,6 @@ def test_can_extend_examples():
     assert not can_extend_with_a("b")
 
 
-def test_can_extend_validation():
-    with pytest.raises(ValueError):
-        can_extend_with_a("ba", validate=True)
-    assert can_extend_with_a("aab", validate=True)
-
-
 def test_can_extend_agrees_with_oracle():
     for w in words_up_to(12):
         if brute_is_prefix_normal(w):

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ def test_packed_slide_matches_numpy_and_brute_scan(w):
         expected = brute_window_max([p])
         assert [profiles._slide(p)[:, 0].tolist()] == expected
         assert profiles.window_max([p]) == expected
-        if len(w) < profiles._VECTOR_CUTOFF:
+        if len(w) < 128:  # 8-bit fields
             assert [profiles._packed_slide(p)] == expected
 
 
@@ -180,16 +181,34 @@ def test_packed_slide_on_16_bit_fields(w):
     assert [profiles._packed_slide(p) for p in rows] == expected
 
 
-def test_packed_field_width_follows_the_length_not_the_cutoff(monkeypatch):
-    # 8-bit fields hold counts below 128 only: with the speed cutoff raised
-    # past 256, words of 128 <= n < 256 still slide packed, on 16-bit fields
-    monkeypatch.setattr(profiles, "_VECTOR_CUTOFF", 300)
-    rng = random.Random(2412)
+def test_16_bit_words_slide_packed_while_the_budget_lasts(monkeypatch):
+    # An 8-bit word (n < 128) always slides packed.  A 16-bit word slides
+    # packed while the run starts slid so, its own included, stay within
+    # _PACKED_STARTS, numpy loaded or not, and takes _slide after that.
+    paths = []
+    for name in ("_packed_slide", "_slide"):
+        real = getattr(profiles, name)
+        monkeypatch.setattr(profiles, name, lambda *args, real=real,
+                            name=name: paths.append(name) or real(*args))
+    monkeypatch.setattr(profiles, "_packed_spent", 0)
+    rng, spent, seen = random.Random(2412), 0, set()
     for i in range(60):
         n = (127, 128)[i] if i < 2 else rng.randrange(128, 256)
         w = (random_word if i % 2 else _few_runs_word)(rng, n)
-        rows = _rows(w, True)
+        spent += (n >= 128) * len(re.findall("a+|b+", w))  # both rows
+        path = ("_packed_slide" if n < 128 or spent <= profiles._PACKED_STARTS
+                else "_slide")
+        rows, paths[:] = _rows(w, True), []
         assert profiles.window_max(rows) == brute_window_max(rows)
+        assert paths == [path, path]
+        seen.add((n >= 128, path))
+    assert seen == {(False, "_packed_slide"), (True, "_packed_slide"),
+                    (True, "_slide")}
+    # a random word has more run starts than the whole budget
+    monkeypatch.setattr(profiles, "_packed_spent", 0)
+    rows, paths[:] = _rows(random_word(rng, 2000), True), []
+    assert profiles.window_max(rows) == scan_window_max(rows)
+    assert paths == ["_slide", "_slide"]
 
 
 def test_packed_slide_at_the_last_16_bit_length():
