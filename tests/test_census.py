@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import random
 
 import pytest
@@ -258,20 +260,9 @@ def test_iterators_reject_lengths_out_of_range():
 
 
 def test_parallel_paths_match_serial():
-    # every count and census runs in this process whatever jobs says
-    assert count_prefix_normal(14, jobs=2) == count_prefix_normal(14) == 2279
-    assert count_prefix_normal(14, jobs=1000) == 2279
-    assert count_pre_necklaces(14, jobs=2) == count_pre_necklaces(14) == 2538
-    assert count_pre_necklaces(14, jobs=8) == 2538
-    serial = class_census(17).classes  # 8 chunks of 2^14 words
-    assert class_census(17, jobs=2).classes == serial
-    assert class_census(17, jobs=1000).classes == serial
-    serial = class_census(18).classes  # 16 chunks
-    assert class_census(18, jobs=1000).classes == serial
-    assert class_census(18, jobs=8).classes == serial
-    for n in (14, 18):  # list and numpy paths
-        assert counts_table(n, jobs=2) == counts_table(n)
-    assert verify_tables(max_n=16, jobs=2).all_ok
+    assert count_prefix_normal(14, jobs=2) == count_prefix_normal(14)
+    assert count_pre_necklaces(14, jobs=2) == count_pre_necklaces(14)
+    assert class_census(17, jobs=2).classes == class_census(17).classes
 
 
 def test_verify_tables_passes():
@@ -301,6 +292,56 @@ def test_verify_tables_flags_tampered_cells():
     assert not report.all_ok
     failed = {c.label for c in report.failures}
     assert failed == {"prefix-normal count n=8", "class size n=4 aabb"}
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts of the pools started; a stub pool records its size
+    and runs the tasks here, so no worker process starts."""
+    sizes = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+    return sizes
+
+
+def test_jobs_clamped_to_cpus_and_tasks(monkeypatch, pool_sizes):
+    # every count and census runs in this process whatever jobs says
+    sizes = pool_sizes
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert count_prefix_normal(14, jobs=1000) == 2279
+    serial = class_census(18).classes
+    assert class_census(18, jobs=1000).classes == serial
+    assert sizes == []                       # 16 chunks
+    assert class_census(17, jobs=1000).classes == class_census(17).classes
+    assert sizes == []                       # 8 chunks
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert count_pre_necklaces(14, jobs=8) == 2538
+    assert class_census(18, jobs=8).classes == serial
+    assert sizes == []                       # unknown cpu count
+
+
+def test_split_paths_match_serial_in_process(monkeypatch, pool_sizes):
+    # counting runs in this process whatever jobs says
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for n in (14, 18):
+        assert counts_table(n, jobs=2) == counts_table(n)
+    assert count_pre_necklaces(14, jobs=2) == count_pre_necklaces(14)
+    assert pool_sizes == []
+    assert verify_tables(max_n=16, jobs=2).all_ok
+    assert pool_sizes == []
 
 
 @pytest.mark.parametrize("jobs", [0, -5])
