@@ -1,10 +1,11 @@
 """Exhaustive enumeration: counting, classes, and reference-table checks.
 
-Counting grows each prefix-closed tree level by level, in this process:
-the prefix normal words and the pre-necklaces are closed under truncation,
-so level d + 1 is level d with every valid child appended, a before b,
-which keeps each level in lexicographic order.  Counts up to n = 16 run
-on Python lists; longer ones and the iterators grow int8 numpy blocks.
+Prefix normal words are closed under truncation, so their tree grows
+level by level, in this process: level d + 1 is level d with every valid
+child appended, a before b, which keeps each level in lexicographic
+order.  Counts up to n = 16 run on Python lists; longer ones and the
+iterator grow int8 numpy blocks.  Pre-necklaces need no tree: their count
+sums the binary Lyndon-word counts, and the FKM rule lists them.
 
 The class census groups all 2^n words of a length by their prefix normal
 form: it streams the words in fixed-size chunks, one vectorized pass per
@@ -27,9 +28,9 @@ from .words import parse_word
 DEFAULT_COUNT_BOUND = 24
 DEFAULT_CENSUS_BOUND = 20
 
-# Longest count run on Python lists: they beat loading numpy up to about
-# n = 18, and numpy once loaded below n = 12; at 16, the `enumerate`
-# default and the table length, both languages take 25 ms on lists.
+# Longest prefix normal count run on Python lists: they beat loading numpy
+# up to about n = 18, and match numpy once loaded at n = 10; at 16, the
+# `enumerate` default and the table length, they take 12 ms.
 _LIST_MAX_N = 16
 
 # Columns per batch: of a numpy level, never held whole, of a census chunk,
@@ -38,65 +39,35 @@ _BATCH_COLUMNS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
-# Level-by-level enumeration
+# Level-by-level enumeration of prefix normal words
 #
 # A word with an a-child has a b-child right after it; the others have a
-# b-child only.  A level is a list of rows or an int8 block of columns,
-# one per word, window axis first:
-# - prefix normal: the prefix a-counts P[0..d].  A word takes an a when
-#   P[j] + P[d + 1 - j] > P[d] for j = 1..(d + 1) // 2 (pnf._a_extends).
-# - pre-necklace: the symbols W[1..d] (a = 1, b = 0) after a sentinel
-#   W[0] = a, and the Lyndon prefix-period p.  The child W[d + 1 - p] keeps
-#   p; if that is an a, a b-child with period d + 1 follows.  The empty
-#   word has period 1 and reads the sentinel, so it has both children.
-# int8 holds every count and period up to n = 63, far past what runs.
+# b-child only.  A level is a list of rows or an int8 block of columns, one
+# per word, window axis first, each the prefix a-counts P[0..d].  A word
+# takes an a when P[j] + P[d + 1 - j] > P[d] for j = 1..(d + 1) // 2
+# (pnf._a_extends).  int8 holds every count up to n = 63, far past what runs.
 
-def _rows(kind: str, level: list, d: int) -> list:
-    """Level d + 1 from level d, as rows of tuples."""
-    if kind == "pn":
-        return [p + (p[d] + a,) for p in level
-                for a in ((1, 0) if _a_extends(p, d) else (0,))]
-    return [c for w, p in level
-            for c in (((w + (1,), p), (w + (0,), d + 1)) if w[d + 1 - p]
-                      else ((w + (0,), p),))]
-
-
-def _has_a(kind: str, state: tuple, d: int):
-    """Which words of block level d have an a-child."""
-    import numpy as np
-    if kind == "pn":  # rows j and d + 1 - j for j = 1..h against row d
-        (prefix,), h = state, (d + 1) // 2
-        return (prefix[1:h + 1] + prefix[d:d - h:-1] > prefix[d]).all(axis=0)
-    word, period = state
-    return word[d + 1 - period, np.arange(word.shape[1])].view(bool)
-
-
-def _grow(kind: str, state: tuple, d: int, has_a) -> tuple:
+def _grow(prefix, d: int, has_a):
     """Block level d + 1 from level d and its a-child mask."""
     import numpy as np
     parent = np.repeat(np.arange(len(has_a)), 1 + has_a)
     is_a = np.append(parent[1:] == parent[:-1], False)  # a b twin follows
-    block = np.take(state[0], parent, axis=1)
-    if kind == "pn":
-        return (np.vstack([block, block[d] + is_a]),)
-    period = state[1][parent]
-    period[1:][is_a[:-1]] = d + 1  # the b twins
-    return np.vstack([block, is_a]), period
+    block = np.take(prefix, parent, axis=1)
+    return np.vstack([block, block[d] + is_a])
 
 
-def _frontier(kind: str, n: int, state: tuple = (), d: int = 0):
-    """(depth, block state, a-child mask) of level d, by default the root,
-    and of each level below down to n: in column order, batch by batch."""
+def _frontier(n: int, prefix=None, d: int = 0):
+    """(depth, block, a-child mask) of level d, by default the root, and of
+    each level below down to n: in column order, batch by batch."""
     import numpy as np
-    state = state or ((np.zeros((1, 1), np.int8),) if kind == "pn" else
-                      (np.ones((1, 1), np.int8), np.ones(1, np.int8)))
-    has_a = _has_a(kind, state, d)
-    yield d, state, has_a
+    prefix = np.zeros((1, 1), np.int8) if prefix is None else prefix
+    h = (d + 1) // 2  # rows j and d + 1 - j for j = 1..h against row d
+    has_a = (prefix[1:h + 1] + prefix[d:d - h:-1] > prefix[d]).all(axis=0)
+    yield d, prefix, has_a
     if d < n:
-        child = _grow(kind, state, d, has_a)
-        for lo in range(0, child[0].shape[1], _BATCH_COLUMNS):
-            yield from _frontier(kind, n, tuple(
-                a[..., lo:lo + _BATCH_COLUMNS] for a in child), d + 1)
+        child = _grow(prefix, d, has_a)
+        for lo in range(0, child.shape[1], _BATCH_COLUMNS):
+            yield from _frontier(n, child[:, lo:lo + _BATCH_COLUMNS], d + 1)
 
 
 def _texts(is_a) -> list[str]:
@@ -108,47 +79,69 @@ def _texts(is_a) -> list[str]:
     return [text[i * n:(i + 1) * n] for i in range(m)]
 
 
-def _words(kind: str, n: int) -> Iterator[str]:
+def _check_iter_length(n: int) -> None:
     if not 0 <= n <= DEFAULT_COUNT_BOUND:
         raise ValueError(f"length {n} outside 0..{DEFAULT_COUNT_BOUND}")
-    for d, (block, *_), _ in _frontier(kind, n):
-        if d == n:
-            yield from _texts((block[1:] - block[:-1] if kind == "pn"
-                               else block[1:]).T)
 
 
 def iter_prefix_normal(n: int) -> Iterator[str]:
     """All prefix normal words of length ``n`` in lexicographic order; n
     above DEFAULT_COUNT_BOUND raises ValueError on the first next."""
-    return _words("pn", n)
+    _check_iter_length(n)
+    for d, prefix, _ in _frontier(n):
+        if d == n:
+            yield from _texts((prefix[1:] - prefix[:-1]).T)
 
+
+def _tree_counts(max_n: int) -> list[int]:
+    """Prefix normal words per length 0..max_n."""
+    sizes = [1] + [0] * max_n
+    if max_n <= _LIST_MAX_N:
+        level = [(0,)]
+        for d in range(max_n):
+            level = [p + (p[d] + a,) for p in level
+                     for a in ((1, 0) if _a_extends(p, d) else (0,))]
+            sizes[d + 1] = len(level)
+        return sizes
+    import numpy as np
+    # level max_n is only sized, off its parents' a-child masks
+    for d, _, has_a in _frontier(max_n - 1):
+        sizes[d + 1] += len(has_a) + int(np.count_nonzero(has_a))
+    return sizes
+
+
+# ---------------------------------------------------------------------------
+# Pre-necklaces, from their theory: each is fixed by its Lyndon
+# prefix-period p and the Lyndon word w[:p], so P(n) = L(1) + ... + L(n),
+# and the FKM rule of Fredricksen, Kessler and Maiorana lists them in
+# constant amortized time (Ruskey, Savage and Wang, 1992).
 
 def iter_pre_necklaces(n: int) -> Iterator[str]:
-    """All pre-necklaces of length ``n`` in lexicographic order; n above
+    """All pre-necklaces of length ``n`` in lexicographic order, each next
+    one the last a turned b and that prefix repeated; n above
     DEFAULT_COUNT_BOUND raises ValueError on the first next."""
-    return _words("pl", n)
+    _check_iter_length(n)
+    w = "a" * n
+    yield w
+    while (i := w.rfind("a")) >= 0:
+        w = ((w[:i] + "b") * (n // (i + 1) + 1))[:n]
+        yield w
+
+
+def _pre_necklace_counts(max_n: int) -> list[int]:
+    """Pre-necklaces per length 0..max_n, from the binary Lyndon-word
+    counts L, which solve 2^i = sum of d L(d) over the divisors d of i."""
+    lyndon = [0]
+    for i in range(1, max_n + 1):
+        lyndon.append(((1 << i) - sum(d * lyndon[d] for d in range(1, i)
+                                      if i % d == 0)) // i)
+    return [1] + [sum(lyndon[:i + 1]) for i in range(1, max_n + 1)]
 
 
 def _check_jobs(jobs: int) -> None:
     """Counts and censuses run in this process; ``jobs`` is only checked."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-
-
-def _tree_counts(kind: str, max_n: int) -> list[int]:
-    """Words per length 0..max_n."""
-    sizes = [1] + [0] * max_n
-    if max_n <= _LIST_MAX_N:
-        level = [(0,) if kind == "pn" else ((1,), 1)]
-        for d in range(max_n):
-            level = _rows(kind, level, d)
-            sizes[d + 1] = len(level)
-        return sizes
-    import numpy as np
-    # level max_n is only sized, off its parents' a-child masks
-    for d, _, has_a in _frontier(kind, max_n - 1):
-        sizes[d + 1] += len(has_a) + int(np.count_nonzero(has_a))
-    return sizes
 
 
 def _check_count_args(n: int, jobs: int) -> None:
@@ -163,13 +156,13 @@ def _check_count_args(n: int, jobs: int) -> None:
 def count_prefix_normal(n: int, jobs: int = 1) -> int:
     """Number of prefix normal words of length ``n``."""
     _check_count_args(n, jobs)
-    return _tree_counts("pn", n)[n]
+    return _tree_counts(n)[n]
 
 
 def count_pre_necklaces(n: int, jobs: int = 1) -> int:
     """Number of pre-necklaces of length ``n``."""
     _check_count_args(n, jobs)
-    return _tree_counts("pl", n)[n]
+    return _pre_necklace_counts(n)[n]
 
 
 @dataclass(frozen=True)
@@ -191,7 +184,7 @@ class CountsRow:
 
 def counts_table(max_n: int, what: str = "both",
                  jobs: int = 1) -> list[CountsRow]:
-    """CountsRows for n = 1..max_n, one tree per selected language.
+    """CountsRows for n = 1..max_n, for the selected languages.
 
     ``what`` selects "pnf", "prenecklace" or "both".
     """
@@ -199,8 +192,8 @@ def counts_table(max_n: int, what: str = "both",
         raise ValueError(f"unknown selection {what!r}")
     _check_count_args(max_n, jobs)
     none = [None] * (max_n + 1)
-    pn = _tree_counts("pn", max_n) if what != "prenecklace" else none
-    pl = _tree_counts("pl", max_n) if what != "pnf" else none
+    pn = _tree_counts(max_n) if what != "prenecklace" else none
+    pl = _pre_necklace_counts(max_n) if what != "pnf" else none
     return [_trusted(CountsRow, n=n, count_prefix_normal=pn[n],
                      count_pre_necklace=pl[n]) for n in range(1, max_n + 1)]
 
@@ -413,11 +406,10 @@ def verify_tables(expected: TableExpectations | None = None,
     _check_jobs(jobs)
     cells: list[CellCheck] = []
 
-    for kind, name, counts in (("pn", "prefix-normal",
-                                exp.prefix_normal_counts),
-                               ("pl", "pre-necklace",
-                                exp.pre_necklace_counts)):
-        found = _tree_counts(kind, limit)
+    for name, counts, found in (
+            ("prefix-normal", exp.prefix_normal_counts, _tree_counts(limit)),
+            ("pre-necklace", exp.pre_necklace_counts,
+             _pre_necklace_counts(limit))):
         cells += [CellCheck(f"{name} count n={n}", counts[n - 1], found[n])
                   for n in range(1, limit + 1)]
 

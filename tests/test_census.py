@@ -209,14 +209,15 @@ def test_class_census_validation():
 def test_subtree_counts_sum_to_serial_counts():
     # the walkers restart from any root: the trees under all roots of
     # length 6 partition the serial tree below depth 6
-    for kind, roots in (("pn", iter_prefix_normal(6)),
-                        ("pl", iter_pre_necklaces(6))):
+    for kind, roots, counts in (
+            ("pn", iter_prefix_normal(6), census._tree_counts(14)),
+            ("pl", iter_pre_necklaces(6), census._pre_necklace_counts(14))):
         total = [0] * 15
         for root in roots:
             part = subtree_counts(kind, root, 14)
             assert part[:6] == [0] * 6 and part[6] == 1
             total = [t + c for t, c in zip(total, part)]
-        assert total[6:] == census._tree_counts(kind, 14)[6:]
+        assert total[6:] == counts[6:]
 
 
 def test_frontier_counts_match_walkers(monkeypatch):
@@ -225,10 +226,12 @@ def test_frontier_counts_match_walkers(monkeypatch):
     assert census._LIST_MAX_N + 1 < 19
     for cut in (census._LIST_MAX_N, 0):
         monkeypatch.setattr(census, "_LIST_MAX_N", cut)
-        for kind in ("pn", "pl"):
-            for n in range(19):
-                assert census._tree_counts(kind, n) == subtree_counts(
-                    kind, "", n)
+        for n in range(19):
+            assert census._tree_counts(n) == subtree_counts("pn", "", n)
+    # the pre-necklaces: the Lyndon-word sum and the FKM words
+    for n in range(19):
+        assert census._pre_necklace_counts(n) == subtree_counts("pl", "", n)
+        assert list(iter_pre_necklaces(n)) == walk_words("pl", n)
 
 
 def test_iterators_match_walkers():
@@ -243,12 +246,9 @@ def test_frontier_batches_split_anywhere(monkeypatch):
     # batches of 7 columns cut across twins and leave short last batches
     monkeypatch.setattr(census, "_BATCH_COLUMNS", 7)
     monkeypatch.setattr(census, "_LIST_MAX_N", 0)
-    for kind, words in (("pn", iter_prefix_normal),
-                        ("pl", iter_pre_necklaces)):
-        for n in range(13):
-            assert census._tree_counts(kind, n) == subtree_counts(
-                kind, "", n)
-            assert list(words(n)) == walk_words(kind, n)
+    for n in range(13):
+        assert census._tree_counts(n) == subtree_counts("pn", "", n)
+        assert list(iter_prefix_normal(n)) == walk_words("pn", n)
 
 
 def test_iterators_reject_lengths_out_of_range():

@@ -337,6 +337,14 @@ def test_impossible_index_is_usage_error(capsys, tmp_path):
             assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_index_profile_error_names_the_first_bad_step(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version":1,"n":2,"maxA":[0,0,2],"minA":[0,0,0]}')
+    code, out, err = run(capsys, "index", "query", str(bad), "1", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: profile step at k=2 is 2, expected 0 or 1\n"
+
+
 def test_suffix_paths_bound(capsys, monkeypatch, tmp_path):
     w = "ab" * (SUFFIX_PATHS_BOUND // 2) + "a"
     out_path = str(tmp_path / "r.svg")
@@ -445,6 +453,13 @@ def test_long_few_run_words_leave_numpy_unloaded(tmp_path):
     out, loaded = _run_in_fresh_process(argvs, numpy=True)
     assert out == "".join(packed)
     assert [Path(f).read_bytes() for f in (ix, svg, csv)] == files
+
+
+def test_pre_necklace_counts_leave_numpy_unloaded():
+    loaded = _modules_loaded_by([
+        ["enumerate", "--max-n", "24", "--what", "prenecklace",
+         "--format", fmt] for fmt in ("text", "csv", "json")])
+    assert "prefixnormal.census" in loaded and "numpy" not in loaded
 
 
 def test_numpy_loads_past_the_packed_run_start_budget():

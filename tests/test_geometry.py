@@ -41,6 +41,13 @@ def test_region_validation():
         RegionProfile(upper=(0, 1), lower=(0,))
 
 
+def test_region_with_one_boundary_off_the_lattice_is_rejected():
+    # upper only, then lower only; each other boundary is on the lattice
+    for upper, lower in (((0, 1, 1), (0, -1, 0)), ((0, 1, 2), (0, -1, -1))):
+        with pytest.raises(ValueError, match="column 2 is off the lattice"):
+            RegionProfile(upper, lower)
+
+
 def test_region_holds_one_height_in_the_last_column():
     # the whole word is its only factor of length n, so column n holds one
     # point; the index check rejects both pairs

@@ -53,6 +53,14 @@ def test_index_validation():
                      OnesProfile("min-a", (0, 0, 0)))
 
 
+def test_index_with_one_profile_of_the_wrong_kind_is_rejected():
+    ab_max, ab_min = (0, 1, 1), (0, 0, 1)  # the profiles of "ab"
+    for kinds in (("max-a", "max-a"), ("min-a", "min-a")):
+        with pytest.raises(ValueError, match="needs a max-a and a min-a"):
+            JumbledIndex(2, OnesProfile(kinds[0], ab_max),
+                         OnesProfile(kinds[1], ab_min))
+
+
 def test_index_from_json_rejects_impossible_indexes():
     # unequal totals at k = n; then a max-a profile that is not
     # subadditive (its normal form "bab" is not prefix normal)

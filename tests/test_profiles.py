@@ -328,6 +328,12 @@ def test_profile_validation_rejects_bad_arrays():
         OnesProfile("median", (0, 1))
 
 
+def test_profile_step_error_names_the_first_bad_step():
+    # a 0-step before the bad one: the rescan must skip steps of 0 and 1
+    with pytest.raises(ValueError, match=r"step at k=2 is 2, expected 0 or 1"):
+        OnesProfile("max-a", (0, 0, 2))
+
+
 def test_trusted_builds_pass_the_public_checks():
     # The builders skip the constructors' checks; rebuilding each value
     # through its public constructor must accept it and give it back.
