@@ -6,7 +6,10 @@ the word whose prefix a-counts realize the max-a profile of w.  This module
 builds the two normal forms (a-side and b-side) and decides prefix
 normality by three interchangeable routes:
 
-* profile comparison: max-a profile equals the prefix a-counts;
+* profile comparison: the first length at which the max-a profile would
+  exceed the prefix a-counts p, found from the pair inequality
+  p[s + k] <= p[s] + p[k] without computing the profile
+  (profiles.first_excess);
 * position arithmetic over the a's only, O(m^2) for m a's:
   pos(i) + pos(j) - 1 <= pos(i+j-1) for all valid i, j;
 * an incremental scan that grows the word one symbol at a time and applies
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .profiles import _trusted, a_count_bounds, max_a_profile, window_max
+from .profiles import _trusted, a_count_bounds, first_excess, max_a_profile
 from .words import (ParseError, a_positions, complement, complement_counts,
                     parse_word, prefix_counts, word_from_counts)
 
@@ -46,7 +49,7 @@ class PnfPair:
     """Both prefix normal forms of one source word.
 
     Validates that the components have equal length and are prefix normal
-    on their respective sides (one kernel call).
+    on their respective sides (one first_excess call per side).
     """
 
     pnf_a: str
@@ -57,12 +60,9 @@ class PnfPair:
             raise ValueError(
                 f"component lengths differ: {len(self.pnf_a)} vs "
                 f"{len(self.pnf_b)}")
-        a_counts = prefix_counts(self.pnf_a)
-        b_counts = complement_counts(prefix_counts(self.pnf_b))
-        max_a, max_b = window_max([a_counts, b_counts])
-        if max_a != a_counts:
+        if first_excess(prefix_counts(self.pnf_a)):
             raise ValueError(f"{self.pnf_a!r} is not prefix normal (a-side)")
-        if max_b != b_counts:
+        if first_excess(complement_counts(prefix_counts(self.pnf_b))):
             raise ValueError(f"{self.pnf_b!r} is not prefix normal (b-side)")
 
     @property
@@ -183,12 +183,10 @@ def normality_witness(w: str) -> str | None:
     """A factor with more a's than the same-length prefix, or None.
 
     Among violating factors the shortest wins, ties broken leftmost: k is
-    the first length where max-a exceeds the prefix count.
+    the first length where max-a exceeds the prefix count (first_excess).
     """
     p = prefix_counts(w)
-    (max_a,) = window_max([p])
-    if max_a == p:
+    if not (k := first_excess(p)):
         return None
-    k = next(k for k in range(1, len(w) + 1) if max_a[k] > p[k])
     start = next(s for s in range(len(w) - k + 1) if p[s + k] - p[s] > p[k])
     return w[start:start + k]

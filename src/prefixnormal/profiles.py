@@ -12,7 +12,7 @@ Both paths slide windows only from the starts of runs, since a best
 window can always be moved onto a run start or onto a suffix: O(n * rho)
 for a word with rho runs.  A word slides on one Python int per row, a
 field per window length: 8 bits below n = 128, and 16 bits below 32768
-while the run starts the process slid so fit a budget.  Other words and
+while the run starts the process slid so fit a ledger.  Other words and
 batches slide in vectorized passes over as many run starts as fit an
 element budget, on a block stored window axis first in a narrow dtype.
 """
@@ -25,12 +25,11 @@ from struct import pack, unpack
 
 from .words import complement, complement_counts, prefix_counts
 
-# Packed vs numpy _slide on a word's two rows: 37/55 us at n = 64, 87/67
-# at 127; 5/1.7 ms at 10^4 in few runs, 10/3.0 at 1.6*10^4, 630/31 for
-# a random 1.6*10^4.  So a list word's path reads its width class and
-# _packed_spent only: 8-bit always packed, 16-bit while the run starts slid
-# so fit a budget (even if numpy is loaded), before numpy's 70-95 ms import.
-_PACKED_STARTS, _packed_spent = 512, 0
+# Packed vs numpy _slide on two rows: 37/55 us at n = 64, 5/1.7 ms at 10^4
+# in few runs, 630/31 for a random 1.6*10^4; first_excess keeps up packed.
+# So 16-bit words go packed while a ~20 ms ledger (numpy imports in 70-95)
+# lasts: a compared field 4.4 ns, a 1-run start 256, a slide start 1/512.
+_PACKED_FIELDS, _PACKED_STARTS, _packed_spent = 9 << 19, 512, 0
 _BLOCK_BUDGET = 1 << 16  # elements _slide gathers per pass
 
 _KINDS = ("max-a", "min-a", "max-b")
@@ -88,12 +87,13 @@ def window_max(rows):
     global _packed_spent
     if not isinstance(rows, list):
         return _slide(rows.T).T.astype(rows.dtype, copy=False)
-    width = _count_dtype(len(rows[0]) - 1)
-    rent = width == "int16" and _packed_spent <= _PACKED_STARTS
-    if width == "int8" or rent:  # a 16-bit word rents packed time
+    n = len(rows[0]) - 1
+    if n < 128 or n < 32768 and _packed_spent < _PACKED_FIELDS:
         packs = list(map(_packed, rows))
-        _packed_spent += rent and sum(m.count(b"\0\1") for *_, m in packs)
-        if width == "int8" or _packed_spent <= _PACKED_STARTS:
+        fields = (n >= 128) * sum(m.count(b"\0\1") for *_, m in packs) * (
+            _PACKED_FIELDS // _PACKED_STARTS)
+        if _packed_spent + fields <= _PACKED_FIELDS:
+            _packed_spent += fields
             return list(map(_packed_slide, rows, packs))
     return [_slide(p)[:, 0].tolist() for p in rows]
 
@@ -124,6 +124,46 @@ def _packed_slide(p, packed=None):
     return list(unpack(fmt, out.to_bytes(len(p) * w // 8, "little")))
 
 
+def first_excess(p):
+    """The shortest length k at which a factor has more a's than p[k], or 0.
+
+    p[s + k] <= p[s] + p[k] is symmetric in s and k, so a shortest failing
+    window starts at t >= k, on an a (else one symbol less fails); slid
+    left over each a after an a, it still fails, up to a 1-run start t.
+    Past a C-speed pass per k <= 3, each 1-run start t compares fields
+    k <= min(t, n - t, best - 1) at once, as in _packed_slide: 2^(w-1) +
+    p[k] + p[t] - p[t + k] loses its high bit where the window fails.
+    Words of 16-bit fields do so while the ledger lasts; then they, like
+    longer words, compare _slide with p."""
+    global _packed_spent
+    n = len(p) - 1
+    if rent := n < 128 or n < 32768 and _packed_spent < _PACKED_FIELDS:
+        _, w, v, marks = _packed(p)
+        rent = n < 128 or _PACKED_FIELDS >= (
+            _packed_spent + marks.count(b"\0\1") * (n // 2 + 256))
+    if not rent:
+        max_a = _slide(p)[:, 0].tolist()
+        if max_a == p:
+            return 0
+        return next(k for k, m in enumerate(max_a) if m > p[k])  # stops early
+    ones = int.from_bytes(b"\1\0"[:w // 8] * (n + 1), "little")
+    top = v | (high := ones << w - 1)  # 2^(w-1) + p[k] in field k
+    for k in range(1, min(n, 3) + 1):  # every window of length k
+        fit = high >> w * k  # fields 0..n-k; the others overflow
+        if (top + p[k] * ones - (v >> w * k)) & fit != fit:
+            return k
+    best, t = n + 1, 0
+    while best > 4 and (t := marks.find(b"\0\1", t + 1)) > 0:  # 4 is final
+        k = t if t + t < n else n - t  # min() is slower
+        k = k if k < best else best - 1
+        _packed_spent += k + 256
+        fields = (1 << w * (k + 1)) - 1
+        x = (top & fields) - (v >> w * t & fields) + p[t] * (ones & fields)
+        if miss := (x & high) ^ (high & fields):
+            best = (miss & -miss).bit_length() // w - 1
+    return best % (n + 1)
+
+
 def _count_dtype(n: int) -> str:  # the narrowest signed dtype for 0..n
     return "int8" if n < 128 else "int16" if n < 32768 else "int32"
 
@@ -138,7 +178,9 @@ def _slide(q):
     A pass reduces the next max(1, _BLOCK_BUDGET // (L * m)) starts, L
     windows each, read from win[s, k] = q[s + k] over q padded below with
     -1: a padded window's -1 - q[s] >= -1 - n fits and never wins."""
+    global _packed_spent
     import numpy as np
+    _packed_spent = _PACKED_FIELDS  # numpy is loaded: stop renting
     q = np.ascontiguousarray(q, _count_dtype(len(q) - 1)).reshape(len(q), -1)
     n1, m = q.shape
     out = q[-1] - q[::-1]

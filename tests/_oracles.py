@@ -76,6 +76,19 @@ def scan_window_max(rows) -> list[list[int]]:
     return out
 
 
+def excess_by_scan(w: str) -> tuple[int, str | None]:
+    """The first length k at which scan_window_max exceeds the prefix
+    a-counts of ``w`` (0 if none does), and the leftmost factor of that
+    length with more a's than the prefix (None if k is 0)."""
+    p = prefix_counts(w)
+    (max_a,) = scan_window_max([p])
+    k = next((k for k in range(1, len(p)) if max_a[k] > p[k]), 0)
+    if not k:
+        return 0, None
+    start = next(s for s in range(len(w) - k + 1) if p[s + k] - p[s] > p[k])
+    return k, w[start:start + k]
+
+
 def brute_is_prefix_normal(w: str) -> bool:
     return all(f.count("a") <= w[:len(f)].count("a") for f in factors(w))
 
@@ -117,6 +130,18 @@ def brute_pre_necklaces(max_n: int) -> set[str]:
 
 def random_word(rng: random.Random, length: int) -> str:
     return "".join(rng.choice("ab") for _ in range(length))
+
+
+def with_prefix_pasted(rng: random.Random, pnf: str) -> str:
+    """``pnf``, a prefix normal word of 16 or more symbols, with a stretch
+    of its second half overwritten by a prefix u of it and one more a,
+    where u is followed by a b in ``pnf``: ua then has more a's than the
+    prefix of its length, so the word is not prefix normal."""
+    n = len(pnf)
+    u = pnf[:rng.choice([m for m in range(n // 16, n // 4)
+                         if pnf[m] == "b"])]
+    i = rng.randrange(n // 2, n - len(u))
+    return pnf[:i] + u + "a" + pnf[i + len(u) + 1:]
 
 
 def _a_counts(w: str) -> list[int]:

@@ -20,8 +20,9 @@ from prefixnormal.census import (CLASS_HISTOGRAM_N8, CLASS_SIZES_N8,
                                  class_members)
 from prefixnormal.cli import main
 from prefixnormal.geometry import SUFFIX_PATHS_BOUND
+from prefixnormal.pnf import build_pnf_a
 
-from _oracles import random_word
+from _oracles import excess_by_scan, random_word, with_prefix_pasted
 
 EXAMPLE_WORD = "ababbaabaabbbaaabbab"
 
@@ -477,6 +478,58 @@ def test_numpy_loads_past_the_packed_run_start_budget():
     out, loaded = _run_in_fresh_process([["pnf", word]])
     assert "numpy" in loaded
     assert out == _run_in_fresh_process([["pnf", word]], numpy=True)[0]
+
+
+def test_test_and_classify_batches_leave_numpy_unloaded():
+    # 16-bit words decide packed while the ledger lasts
+    rng = random.Random(2419)
+    words = [random_word(rng, 256 + 96 * i) for i in range(9)]
+    stdin = "\n".join(words + [build_pnf_a(w) for w in words]) + "\n"
+    for command in ("test", "classify"):
+        out, loaded = _run_in_fresh_process([[command, "-"]], stdin)
+        assert "prefixnormal.pnf" in loaded and "numpy" not in loaded
+        assert out == _run_in_fresh_process([[command, "-"]], stdin, True)[0]
+
+
+def test_constant_words_at_the_top_of_8_bit_fields(capsys, tmp_path):
+    ix = str(tmp_path / "ix.json")
+    for word in ("a" * 127, "a" * 126, "a" * 126 + "b", "b" * 127):
+        assert main(["test", word]) == 0
+        assert main(["index", "build", word, "-o", ix]) == 0
+        assert main(["index", "pnf", ix]) == 0
+        pair = prefixnormal.pnf_pair(word)
+        assert capsys.readouterr().out == (
+            f"normal\nPNF_a: {pair.pnf_a}\nPNF_b: {pair.pnf_b}\n")
+
+
+def test_test_on_a_long_random_normal_form_loads_numpy():
+    # its run starts would overrun the ledger, so it reads the numpy slide
+    word = build_pnf_a(random_word(random.Random(2420), 16000))
+    out, loaded = _run_in_fresh_process([["test", word]])
+    assert out == "normal\n" and "numpy" in loaded
+
+
+@pytest.mark.parametrize("ledger", ["fresh", "spent"])
+def test_test_witness_of_long_normal_forms_changed_late(capsys, monkeypatch,
+                                                        ledger):
+    rng = random.Random(2421)
+    spent = 0 if ledger == "fresh" else profiles._PACKED_FIELDS
+    words = []
+    for n in (127, 128, 2000):
+        pnf = build_pnf_a(random_word(rng, n))
+        i = rng.randrange(3 * n // 4, n)  # a late flip keeps most normal
+        words += [pnf[:i] + "ab"[pnf[i] == "a"] + pnf[i + 1:],
+                  with_prefix_pasted(rng, pnf)]
+    for word in words:
+        k, witness = excess_by_scan(word)
+        monkeypatch.setattr(profiles, "_packed_spent", spent)
+        assert main(["test", word]) == (1 if k else 0)
+        assert capsys.readouterr().out == (
+            f"not-normal\nwitness: {witness}\n" if k else "normal\n")
+        monkeypatch.setattr(profiles, "_packed_spent", spent)
+        assert main(["test", "--format", "json", word]) == (1 if k else 0)
+        assert capsys.readouterr().out == json.dumps(
+            {"word": word, "normal": not k, "witness": witness}) + "\n"
 
 
 def test_query_and_region_leave_json_unloaded(tmp_path):

@@ -4,11 +4,14 @@ import pytest
 
 from prefixnormal import (ParseError, PnfPair, PrefixNormalTester,
                           build_pnf_a, build_pnf_b, can_extend_with_a,
-                          is_prefix_normal, max_a_profile, normality_witness,
-                          pnf_pair, prefix_count, reverse)
+                          complement, is_prefix_normal, max_a_profile,
+                          normality_witness, pnf_pair, prefix_count,
+                          prefix_counts, profiles, reverse)
 from _oracles import (brute_is_prefix_normal, brute_normality_witness,
                       check_factor_select_bound, check_prefix_subadditivity,
-                      random_word, words_up_to)
+                      excess_by_scan, random_word, with_prefix_pasted,
+                      words_up_to)
+from prefixnormal.words import complement_counts
 
 EXAMPLE_WORD = "ababbaabaabbbaaabbab"
 
@@ -199,3 +202,85 @@ def test_witness_examples():
 def test_witness_shortest_then_leftmost():
     for w in words_up_to(10):
         assert normality_witness(w) == brute_normality_witness(w)
+
+
+def test_first_excess_is_where_max_a_first_exceeds_the_prefix():
+    for w in words_up_to(14):
+        p = prefix_counts(w)
+        (max_a,) = profiles.window_max([p])
+        first = next((k for k in range(1, len(p)) if max_a[k] > p[k]), 0)
+        assert profiles.first_excess(p) == first, w
+
+
+def _flipped(w: str, i: int) -> str:
+    return w[:i] + "ab"[w[i] == "a"] + w[i + 1:]
+
+
+@pytest.mark.parametrize("ledger", ["fresh", "spent"])
+@pytest.mark.parametrize("n", [63, 64, 127, 128, 1000, 3000])
+def test_first_excess_on_flipped_normal_forms(monkeypatch, ledger, n):
+    # a PNF, whole or with one symbol flipped, makes the run-start pass
+    # scan every start; a pasted prefix fails where only that pass looks
+    rng = random.Random(2417 + n)
+    spent = 0 if ledger == "fresh" else profiles._PACKED_FIELDS
+    for _ in range(3):
+        pnf = build_pnf_a(random_word(rng, n))
+        for w in (pnf, *(_flipped(pnf, rng.randrange(n)) for _ in range(3)),
+                  with_prefix_pasted(rng, pnf)):
+            monkeypatch.setattr(profiles, "_packed_spent", spent)
+            k, witness = excess_by_scan(w)
+            assert profiles.first_excess(prefix_counts(w)) == k
+            if n >= 128:  # the numpy fallback closes the ledger
+                closed = profiles._packed_spent == profiles._PACKED_FIELDS
+                assert closed == (ledger == "spent")
+            assert normality_witness(w) == witness
+
+
+def test_a_32768_symbol_word_reads_the_numpy_slide_and_closes_the_ledger(
+        monkeypatch):
+    # numpy is loaded then, so a later 16-bit word reads the slide too
+    word = _flipped(("a" * 300 + "b" * 200) * 66, 32400)[:32768]
+    k, _ = excess_by_scan(word)
+    pnf = build_pnf_a(random_word(random.Random(2419), 300))
+    slides = []
+    slide = profiles._slide
+
+    def counted(q):
+        slides.append(len(q))
+        return slide(q)
+
+    monkeypatch.setattr(profiles, "_slide", counted)
+    monkeypatch.setattr(profiles, "_packed_spent", 0)
+    assert k > 0
+    assert profiles.first_excess(prefix_counts(word)) == k
+    assert profiles.first_excess(prefix_counts(pnf)) == 0
+    assert slides == [32769, 301]
+
+
+@pytest.mark.parametrize("n", [124, 125, 126, 127, 128, 32765, 32766, 32767])
+def test_first_excess_of_near_constant_words_at_the_field_top(monkeypatch, n):
+    # Fields past n - k of the k <= 3 pass hold 2^(w-1) + p[j] + p[k],
+    # which overflows once p[j] + p[k] reaches 2^(w-1); they must not count
+    monkeypatch.setattr(profiles, "_packed_spent", 0)
+    sides = {"a" * n: (0, 0), "b" * n: (0, 0),
+             "a" * (n - 1) + "b": (0, 1), "b" + "a" * (n - 1): (1, 0)}
+    for w, (a_side, b_side) in sides.items():
+        p = prefix_counts(w)
+        assert profiles.first_excess(p) == a_side
+        assert profiles.first_excess(complement_counts(p)) == b_side
+        assert normality_witness(w) == ("a" if a_side else None)
+        assert is_prefix_normal(w) == (not a_side)
+        pair = pnf_pair(w)
+        assert PnfPair(pair.pnf_a, pair.pnf_b) == pair
+    assert profiles._packed_spent < profiles._PACKED_FIELDS  # all packed
+
+
+def test_pnf_pair_rejects_a_b_side_failure_alone():
+    rng = random.Random(2418)
+    for n in (5, 300):
+        pair = pnf_pair(random_word(rng, n))
+        bad_b = next(b for b in map(_flipped, [pair.pnf_b] * n, range(n))
+                     if not is_prefix_normal(complement(b)))
+        with pytest.raises(ValueError) as err:
+            PnfPair(pair.pnf_a, bad_b)
+        assert str(err.value) == f"{bad_b!r} is not prefix normal (b-side)"

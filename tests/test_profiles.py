@@ -211,6 +211,29 @@ def test_16_bit_words_slide_packed_while_the_budget_lasts(monkeypatch):
     assert paths == ["_slide", "_slide"]
 
 
+def test_one_ledger_serves_the_slide_and_first_excess(monkeypatch):
+    # The slide's run starts and first_excess's fields draw on one ledger,
+    # and the first numpy slide, from any caller, closes it for both.
+    w = build_pnf_a(random_word(random.Random(2422), 300))
+    slides, real = [], profiles._slide
+    monkeypatch.setattr(profiles, "_slide",
+                        lambda q: slides.append(len(q)) or real(q))
+    monkeypatch.setattr(profiles, "_packed_spent", 0)
+    rows, starts = _rows(w, True), len(re.findall("a+|b+", w))
+    expected = scan_window_max(rows)
+    assert profiles.window_max(rows) == expected
+    slid = starts * (profiles._PACKED_FIELDS // profiles._PACKED_STARTS)
+    assert profiles._packed_spent == slid
+    assert profiles.first_excess(rows[0]) == 0
+    assert slid < profiles._packed_spent < profiles._PACKED_FIELDS
+    assert slides == []
+    assert profiles.window_max(np.array(rows)).tolist() == expected
+    assert profiles._packed_spent == profiles._PACKED_FIELDS
+    assert profiles.window_max(rows) == expected
+    assert profiles.first_excess(rows[0]) == 0
+    assert slides == [301] * 4
+
+
 def test_packed_slide_at_the_last_16_bit_length():
     # a^a1 b^b a^a2 with n = 32767, the longest word with 16-bit fields
     a1, b, a2 = 12000, 9000, 11767
@@ -356,22 +379,33 @@ def test_trusted_builds_pass_the_public_checks():
 
 def test_one_kernel_call_per_word_and_per_chunk(monkeypatch, capsys,
                                                tmp_path):
-    calls = []
-    kernel = profiles.window_max
+    # (window_max calls, first_excess calls): a normality decision makes
+    # one first_excess call per side it decides, and no window_max call
+    calls, sides = [], []
+    kernel, decide = profiles.window_max, profiles.first_excess
 
     def counted(rows):
         calls.append(len(rows))
         return kernel(rows)
 
+    def counted_decision(p):
+        sides.append(len(p))
+        return decide(p)
+
     for module in (census, cli, geometry, jpm, pnf, profiles):
         if hasattr(module, "window_max"):
             monkeypatch.setattr(module, "window_max", counted)
+        if hasattr(module, "first_excess"):
+            monkeypatch.setattr(module, "first_excess", counted_decision)
 
     def kernel_calls(fn, *args):
         calls.clear()
+        sides.clear()
         fn(*args)
-        return len(calls)
+        return len(calls), len(sides)
 
+    decided_sides = {PnfPair: 2, pnf_from_index: 2, normality_witness: 1,
+                     is_prefix_normal: 1}
     long_word = random_word(random.Random(2205), 300)
     for w in (EXAMPLE_WORD, long_word, build_pnf_a(long_word)):
         pair = pnf_pair(w)
@@ -381,41 +415,51 @@ def test_one_kernel_call_per_word_and_per_chunk(monkeypatch, capsys,
                          (pnf_from_index, (ix,)), (region, (w,)),
                          (region_csv, (w,)), (normality_witness, (w,)),
                          (is_prefix_normal, (w,))):
-            assert kernel_calls(fn, *args) == 1, (fn.__name__, len(w))
+            expected = ((0, decided_sides[fn]) if fn in decided_sides
+                        else (1, 0))
+            assert kernel_calls(fn, *args) == expected, (fn.__name__, len(w))
 
     words = [EXAMPLE_WORD, long_word, "ab"]
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(words) + "\n"))
-    assert kernel_calls(cli.main, ["profiles", "-"]) == len(words)
+    assert kernel_calls(cli.main, ["profiles", "-"]) == (len(words), 0)
     capsys.readouterr()
     for w in (EXAMPLE_WORD, long_word):
         argv = ["region", w, "-o", str(tmp_path / "r.svg"),
                 "--csv", str(tmp_path / "r.csv")]
-        assert kernel_calls(cli.main, argv) == 1
+        assert kernel_calls(cli.main, argv) == (1, 0)
 
-    assert kernel_calls(class_census, 17) == len(census._chunk_ranges(17))
+    assert kernel_calls(class_census, 17) == (len(census._chunk_ranges(17)),
+                                              0)
 
     for w in (EXAMPLE_WORD, long_word):
         index_file = str(tmp_path / "ix.json")
         cli.main(["index", "build", w, "-o", index_file])
-        assert kernel_calls(cli.main, ["index", "pnf", index_file]) == 1
+        assert kernel_calls(cli.main, ["index", "pnf", index_file]) == (0, 2)
         assert kernel_calls(cli.main, ["index", "query", index_file,
-                                       "3", "2"]) == 1
+                                       "3", "2"]) == (0, 2)
     capsys.readouterr()
 
 
 @pytest.fixture
 def kernel_rows(monkeypatch):
-    """The number of rows of each kernel call made while the test runs."""
+    """The number of rows of each kernel call made while the test runs; a
+    first_excess call decides one row."""
     calls = []
-    kernel = profiles.window_max
+    kernel, decide = profiles.window_max, profiles.first_excess
 
     def counted(rows):
         calls.append(len(rows))
         return kernel(rows)
 
+    def counted_decision(p):
+        calls.append(1)
+        return decide(p)
+
     for module in (census, cli, geometry, jpm, pnf, profiles):
         if hasattr(module, "window_max"):
             monkeypatch.setattr(module, "window_max", counted)
+        if hasattr(module, "first_excess"):
+            monkeypatch.setattr(module, "first_excess", counted_decision)
     return calls
 
 
