@@ -7,10 +7,10 @@ order.  Counts up to n = 16 run on Python lists; longer ones and the
 iterator grow int8 numpy blocks.  Pre-necklaces need no tree: their count
 sums the binary Lyndon-word counts, and the FKM rule lists them.
 
-The class census groups all 2^n words of a length by their prefix normal
-form: it streams the words in fixed-size chunks, one vectorized pass per
-chunk, into one array of class sizes indexed by word code, and decodes
-representatives to words only for output.  Reference data for the
+The class census groups all 2^n words by prefix normal form into one
+array of class sizes, one vectorized pass per chunk of words that share
+all but their last b symbols, whose a-counts come off one shared table.
+Representatives are decoded only for output.  Reference data for the
 known count/class tables is frozen here and re-derived by verify_tables.
 """
 
@@ -18,15 +18,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Iterator
 
 from .pnf import _a_extends, is_prefix_normal
-from .profiles import _count_dtype, _trusted, window_max
+from .profiles import _trusted, window_max
 from .words import parse_word
 
 DEFAULT_COUNT_BOUND = 24
-DEFAULT_CENSUS_BOUND = 20
+DEFAULT_CENSUS_BOUND = 20  # at most 30: census codes are int32
 
 # Longest prefix normal count run on Python lists: they beat loading numpy
 # up to about n = 18, and match numpy once loaded at n = 10; at 16, the
@@ -74,9 +73,9 @@ def _texts(is_a) -> list[str]:
     """The words spelled by the 0/1 rows of ``is_a``, 1 for a."""
     import numpy as np
     m, n = is_a.shape
-    letters = (ord("b") - is_a).astype(np.uint8, copy=False)
-    text = letters.tobytes().decode("ascii")
-    return [text[i * n:(i + 1) * n] for i in range(m)]
+    lines = np.full((m, n + 1), ord("\n"), np.uint8)  # one line per word
+    lines[:, :n] = ord("b") - is_a
+    return lines.tobytes().decode("ascii").split("\n")[:-1]  # keeps n = 0
 
 
 def _check_iter_length(n: int) -> None:
@@ -201,26 +200,38 @@ def counts_table(max_n: int, what: str = "both",
 # ---------------------------------------------------------------------------
 # Class census
 
-def _pnf_codes(n: int, start: int, stop: int):
-    """Packed normal forms of the words with codes start..stop-1.
+def _chunk_ranges(n: int) -> list[tuple[int, int]]:
+    """Census chunks, each the widest power of two <= _BATCH_COLUMNS."""
+    width = 1 << min(n, _BATCH_COLUMNS.bit_length() - 1)
+    return [(s, s + width) for s in range(0, 1 << n, width)]
+
+
+def _pnf_codes(n: int):
+    """(first code, packed normal forms) of each chunk, in code order.
 
     Word code: a = 0, b = 1, first symbol in the most significant bit, so
-    integer order is lexicographic order.  The returned array holds the
-    same packing of each word's prefix normal form.
+    integer order is lexicographic order.  A chunk's 2^b words share their
+    first n - b symbols; one reused block takes their a-counts, then one
+    table of the a-counts of all 2^b tails plus the head's a-count.
     """
     import numpy as np
-    a_bits = ~np.arange(start, stop)  # bit n - 1 - k set: an a at k
-    prefix = np.zeros((n + 1, stop - start), _count_dtype(n))  # no copy
-    for k in range(n):  # window axis first: one contiguous row per k
-        prefix[k + 1] = prefix[k] + (a_bits >> (n - 1 - k) & 1)
-    steps = np.diff(window_max(prefix.T).T, axis=0)  # 1 at each a of the PNF
-    codes = np.zeros(stop - start, dtype=np.int64)
-    return reduce(lambda code, step: 2 * code + 1 - step, steps, codes)
-
-
-def _chunk_ranges(n: int) -> list[tuple[int, int]]:
-    return [(s, min(s + _BATCH_COLUMNS, 1 << n))
-            for s in range(0, 1 << n, _BATCH_COLUMNS)]
+    chunks = _chunk_ranges(n)
+    width = chunks[0][1]
+    b = width.bit_length() - 1
+    tails = ~np.arange(width)  # bit b - 1 - k set: an a at k
+    table = np.zeros((b + 1, width), np.int8)
+    for k in range(b):  # window axis first: one contiguous row per k
+        table[k + 1] = table[k] + (tails >> (b - 1 - k) & 1)
+    block = np.empty((n + 1, width), np.int8)
+    for lo, _ in chunks:
+        for j in range(n - b):
+            block[j] = j - (lo >> n - j).bit_count()
+        np.add(table, n - b - (lo >> b).bit_count(), out=block[n - b:])
+        steps = np.zeros(width, np.int32)  # n <= DEFAULT_CENSUS_BOUND <= 30
+        for step in np.diff(window_max(block.T).T, axis=0):  # 1 at an a
+            steps <<= 1
+            steps += step
+        yield lo, np.subtract((1 << n) - 1, steps, out=steps)  # 1 at a b
 
 
 def _classes(n: int) -> tuple:
@@ -228,8 +239,8 @@ def _classes(n: int) -> tuple:
     sizes; the array of 2^n sizes is freed before a word is decoded."""
     import numpy as np
     sizes = np.zeros(1 << n, dtype=np.int32)
-    for lo, hi in _chunk_ranges(n):
-        codes, counts = np.unique(_pnf_codes(n, lo, hi), return_counts=True)
+    for _, chunk in _pnf_codes(n):
+        codes, counts = np.unique(chunk, return_counts=True)
         sizes[codes] += counts
     reps = np.flatnonzero(sizes)
     return reps, sizes[reps]
@@ -238,8 +249,8 @@ def _classes(n: int) -> tuple:
 def _code_texts(codes, n: int) -> list[str]:
     """The words of length ``n`` with these codes (see _pnf_codes)."""
     import numpy as np
-    a_bytes = (~codes).astype(">u8").view(np.uint8).reshape(-1, 8)
-    return _texts(np.unpackbits(a_bytes, axis=1)[:, 64 - n:])
+    a_bytes = (~codes).astype(">u4").view(np.uint8).reshape(-1, 4)
+    return _texts(np.unpackbits(a_bytes, axis=1)[:, 32 - n:])
 
 
 @dataclass
@@ -303,9 +314,8 @@ def class_members(pnf: str) -> list[str]:
         raise ValueError(f"{pnf!r} is not prefix normal")
     import numpy as np
     target = int("0" + pnf.replace("a", "0").replace("b", "1"), 2)
-    return _code_texts(np.concatenate([
-        lo + np.flatnonzero(_pnf_codes(n, lo, hi) == target)
-        for lo, hi in _chunk_ranges(n)]), n)
+    hits = [lo + np.flatnonzero(c == target) for lo, c in _pnf_codes(n)]
+    return _code_texts(np.concatenate(hits), n)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,8 @@ def cmd_classes(args) -> int:
     from . import census
     census._check_jobs(args.jobs)  # class_members takes no jobs
     if args.members is not None:
+        if args.histogram:
+            raise ValueError("--histogram applies to --n, not to --members")
         rep = parse_word(args.members, args.alphabet)
         if args.n is not None and args.n != len(rep):
             raise ValueError(f"--n {args.n} disagrees with the length of "

@@ -116,16 +116,21 @@ def test_class_census_n8_table():
 def test_census_against_per_word_grouping(monkeypatch):
     # the vectorized census must match a plain dictionary census built by
     # running the normal-form constructor on every word; batches of 7
-    # representatives split the decoding anywhere
-    for batch in (census._BATCH_COLUMNS, 7):
+    # representatives split the decoding anywhere, and widths 7, 2 and 1
+    # give chunks of 4, 2 and 1 words, over tables of 2, 1 and 0 symbols
+    for batch in (census._BATCH_COLUMNS, 7, 1, 2):
         monkeypatch.setattr(census, "_BATCH_COLUMNS", batch)
         for n in range(9):
-            expected = {}
+            groups = {}
             for w in words_of_length(n):
-                expected[build_pnf_a(w)] = expected.get(build_pnf_a(w), 0) + 1
+                groups.setdefault(build_pnf_a(w), []).append(w)
             result = class_census(n)
-            assert result.classes == expected
+            assert result.classes == {rep: len(ws)
+                                      for rep, ws in groups.items()}
             assert result.total_words == 2 ** n
+        if batch == 7:  # 64 chunks at n = 8
+            for rep, members in groups.items():
+                assert class_members(rep) == members
 
 
 def _packed_pnf(n, code):
@@ -135,13 +140,19 @@ def _packed_pnf(n, code):
 
 def test_pnf_codes_match_packed_normal_forms():
     for n in range(1, 11):
-        assert census._pnf_codes(n, 0, 1 << n).tolist() == [
+        assert [c for _, codes in census._pnf_codes(n)
+                for c in codes.tolist()] == [
             _packed_pnf(n, code) for code in range(1 << n)]
+    # n = 14 is one chunk whose table is the whole word, n = 15 the first
+    # census whose chunks share a one-symbol head
     rng = random.Random(2207)
-    for lo, hi in census._chunk_ranges(17):
-        codes = census._pnf_codes(17, lo, hi)
-        for code in rng.sample(range(lo, hi), 1000):
-            assert codes[code - lo] == _packed_pnf(17, code)
+    for n in (17, 14, 15):
+        chunks = list(census._pnf_codes(n))
+        assert [(lo, lo + len(codes)) for lo, codes in chunks] == (
+            census._chunk_ranges(n))
+        for lo, codes in chunks:
+            for code in rng.sample(range(lo, lo + len(codes)), 1000):
+                assert codes[code - lo] == _packed_pnf(n, code)
 
 
 def test_census_partition_properties():

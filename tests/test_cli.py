@@ -234,6 +234,17 @@ def test_classes_members(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_classes_members_rejects_histogram(capsys, monkeypatch):
+    # a member list has no histogram: a usage error, before any census
+    monkeypatch.setattr(census, "class_members", None)
+    for word in ("aabb", "a" * 30):
+        code, out, err = run(capsys, "classes", "--members", word,
+                             "--histogram")
+        assert (code, out) == (2, "")
+        assert err == ("error: --histogram applies to --n, not to "
+                       "--members\n")
+
+
 def test_classes_histogram_text(capsys):
     code, out, err = run(capsys, "classes", "--n", "8", "--histogram")
     assert (code, err) == (0, "")
