@@ -17,12 +17,11 @@ known count/class tables is frozen here and re-derived by verify_tables.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .pnf import _a_extends, is_prefix_normal
 from .profiles import _trusted, window_max
-from .words import parse_word
+from .words import Record, parse_word
 
 DEFAULT_COUNT_BOUND = 24
 DEFAULT_CENSUS_BOUND = 20  # at most 30: census codes are int32
@@ -164,8 +163,7 @@ def count_pre_necklaces(n: int, jobs: int = 1) -> int:
     return _pre_necklace_counts(n)[n]
 
 
-@dataclass(frozen=True)
-class CountsRow:
+class CountsRow(Record, frozen=True):
     """Counts for one word length; fields not computed stay None."""
 
     n: int
@@ -253,8 +251,7 @@ def _code_texts(codes, n: int) -> list[str]:
     return _texts(np.unpackbits(a_bytes, axis=1)[:, 32 - n:])
 
 
-@dataclass
-class ClassCensus:
+class ClassCensus(Record):
     """Partition of all words of one length by shared prefix normal form.
 
     ``classes`` maps each normal form (the canonical class representative)
@@ -363,21 +360,18 @@ CLASS_HISTOGRAM_N8 = {1: 7, 2: 24, 3: 5, 4: 16, 5: 2, 6: 9, 7: 1, 8: 4,
                       9: 1, 10: 1}
 
 
-@dataclass(frozen=True)
-class TableExpectations:
+class TableExpectations(Record, frozen=True):
     """Reference cells recomputed by verify_tables."""
 
     prefix_normal_counts: tuple[int, ...] = PREFIX_NORMAL_COUNTS
     pre_necklace_counts: tuple[int, ...] = PRE_NECKLACE_COUNTS
     max_class_sizes: tuple[int, ...] = MAX_CLASS_SIZES
-    class_sizes_n4: dict = field(default_factory=lambda: dict(CLASS_SIZES_N4))
-    class_sizes_n8: dict = field(default_factory=lambda: dict(CLASS_SIZES_N8))
-    class_histogram_n8: dict = field(
-        default_factory=lambda: dict(CLASS_HISTOGRAM_N8))
+    class_sizes_n4: dict = CLASS_SIZES_N4  # each record gets a copy
+    class_sizes_n8: dict = CLASS_SIZES_N8
+    class_histogram_n8: dict = CLASS_HISTOGRAM_N8
 
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(Record, frozen=True):
     label: str
     expected: object
     actual: object
@@ -387,8 +381,7 @@ class CellCheck:
         return self.expected == self.actual
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     cells: list[CellCheck]
 
     @property

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 
 from .words import ParseError, complement_counts, parse_word
 
@@ -68,6 +69,14 @@ def _write(path: str | None, text: str) -> None:
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _write_lines(lines) -> None:
+    """Write the iterator ``lines`` to stdout 4096 at a time: unbuffered,
+    stdout makes a syscall of every write, and one write would hold all the
+    text at once."""
+    while block := "".join(islice(lines, 4096)):
+        sys.stdout.write(block)
 
 
 def _print_json(doc) -> None:
@@ -146,10 +155,10 @@ def cmd_index(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from dataclasses import asdict
     from . import lyndon
     def one(w: str) -> int:
-        _print_json(asdict(lyndon.classify(w)))  # WordClass's fields, in order
+        bits = lyndon.classify(w)
+        _print_json({f: getattr(bits, f) for f in bits._fields})  # in order
         return 0
     return _each_word(args, one)
 
@@ -192,7 +201,7 @@ def cmd_classes(args) -> int:
         if args.format == "json":
             _print_json({"pnf": rep, "members": members})
         else:
-            sys.stdout.writelines(f"{m}\n" for m in members)
+            _write_lines(f"{m}\n" for m in members)
         return 0
     if args.n is None:
         raise ValueError("either --n or --members is required")
@@ -204,12 +213,11 @@ def cmd_classes(args) -> int:
                                 for k, v in result.histogram().items()}
         _print_json(doc)
         return 0
-    sys.stdout.writelines(f"{rep} {size}\n"
-                          for rep, size in result.classes.items())
+    _write_lines(f"{rep} {size}\n" for rep, size in result.classes.items())
     if args.histogram:
         print("size classes")
-        sys.stdout.writelines(f"{size} {count}\n"
-                              for size, count in result.histogram().items())
+        _write_lines(f"{size} {count}\n"
+                     for size, count in result.histogram().items())
     return 0
 
 

@@ -15,11 +15,9 @@ bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .jpm import JumbledIndex
 from .profiles import OnesProfile, _trusted, a_count_bounds
-from .words import ParikhVector, prefix_counts
+from .words import ParikhVector, Record, prefix_counts
 
 RENDER_BOUND = 10_000
 # Suffix paths draw about n^2 / 2 points: a 17 MB SVG at n = 2000.
@@ -38,8 +36,7 @@ def word_path(w: str) -> list[tuple[int, int]]:
     return [(i, 2 * c - i) for i, c in enumerate(prefix_counts(w))]
 
 
-@dataclass(frozen=True)
-class RegionProfile:
+class RegionProfile(Record, frozen=True):
     """Column-wise bounds of the factor region.
 
     upper[x] and lower[x] are the highest and lowest path heights over

@@ -12,20 +12,18 @@ Parikh-vector sets exactly when both their normal forms coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import gt, sub
 
 from .pnf import PnfPair
 from .profiles import OnesProfile, _trusted, a_count_bounds
-from .words import ParikhVector, prefix_counts, word_from_counts
+from .words import ParikhVector, Record, prefix_counts, word_from_counts
 
 INDEX_FORMAT_VERSION = 1
 
 DEFAULT_ORACLE_BOUND = 1000
 
 
-@dataclass(frozen=True)
-class JumbledIndex:
+class JumbledIndex(Record, frozen=True):
     """Constant-time occurrence index: the (max-a, min-a) profile pair.
 
     Immutable after construction; concurrent queries are plain array reads.

@@ -16,10 +16,8 @@ ParseError at the first symbol other than a or b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .pnf import is_prefix_normal
-from .words import parse_word
+from .words import Record, parse_word
 
 
 def is_lyndon(w: str) -> bool:
@@ -64,8 +62,7 @@ def _lyndon_prefix_period(w: str) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class WordClass:
+class WordClass(Record, frozen=True):
     """The four classification bits of one word.
 
     Lyndon implies necklace implies pre-necklace, and prefix normal

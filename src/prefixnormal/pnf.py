@@ -23,11 +23,10 @@ prefix-closed, a failed word can never be repaired by extending it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .profiles import _trusted, a_count_bounds, first_excess, max_a_profile
-from .words import (ParseError, a_positions, complement, complement_counts,
-                    parse_word, prefix_counts, word_from_counts)
+from .words import (ParseError, Record, a_positions, complement,
+                    complement_counts, parse_word, prefix_counts,
+                    word_from_counts)
 
 
 def build_pnf_a(w: str) -> str:
@@ -44,8 +43,7 @@ def build_pnf_b(w: str) -> str:
     return complement(build_pnf_a(complement(w)))
 
 
-@dataclass(frozen=True)
-class PnfPair:
+class PnfPair(Record, frozen=True):
     """Both prefix normal forms of one source word.
 
     Validates that the components have equal length and are prefix normal

@@ -19,11 +19,10 @@ element budget, on a block stored window axis first in a narrow dtype.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import sub
 from struct import pack, unpack
 
-from .words import complement, complement_counts, prefix_counts
+from .words import Record, complement, complement_counts, prefix_counts
 
 # Packed vs numpy _slide on two rows: 37/55 us at n = 64, 5/1.7 ms at 10^4
 # in few runs, 630/31 for a random 1.6*10^4; first_excess keeps up packed.
@@ -35,8 +34,7 @@ _BLOCK_BUDGET = 1 << 16  # elements _slide gathers per pass
 _KINDS = ("max-a", "min-a", "max-b")
 
 
-@dataclass(frozen=True)
-class OnesProfile:
+class OnesProfile(Record, frozen=True):
     """A length-indexed factor-count profile.
 
     values[k] is the max (or min) symbol count over length-k factors, for

@@ -5,8 +5,8 @@ Words are plain Python strings containing only the characters ``a`` and
 takes a word reads it through parse_word, so it raises ParseError at the
 first other symbol.  All positions in the public API are 1-based (a word
 w has symbols w_1 ... w_n), matching the usual convention in
-combinatorics on words.  Everything here is a pure function over
-immutable values.
+combinatorics on words.  Everything here but Record, the base of the
+value classes, is a pure function over immutable values.
 """
 
 from __future__ import annotations
@@ -48,6 +48,52 @@ class ParikhVector(NamedTuple):
     @property
     def length(self) -> int:
         return self.a_count + self.b_count
+
+
+class Record:
+    """Base of the value classes, lighter to import than dataclasses.  The
+    annotated names of a subclass add its fields; a class attribute is a
+    default, a dict one copied per record.  A record builds by position or
+    keyword, runs __post_init__ and equals the records of its class with
+    equal fields; frozen=True makes it immutable and hashable."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, frozen: bool = False):
+        cls._fields += tuple(cls.__annotations__)
+        cls._defaults = {f: getattr(cls, f) for f in cls._fields
+                         if hasattr(cls, f)}
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._refuse
+            cls.__hash__ = lambda self: hash(self._values())
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        fields = {f: dict(v) if type(v) is dict else v
+                  for f, v in self._defaults.items()}
+        fields.update(zip(names, args), **kwargs)
+        if (len(args) > len(names) or fields.keys() != set(names)
+                or kwargs.keys() & names[:len(args)]):
+            raise TypeError(f"{type(self).__name__} takes {names} once each")
+        self.__dict__.update(fields)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the new record; each subclass adds its own checks."""
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def _refuse(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen")
 
 
 def parse_word(text: str, alphabet: str = "ab") -> str:

@@ -411,7 +411,7 @@ def test_pnf_ab_imports_only_what_it_runs():
     assert "prefixnormal.pnf" in imported
     assert not imported & {"prefixnormal.census", "prefixnormal.geometry",
                            "prefixnormal.jpm", "prefixnormal.lyndon",
-                           "json", "numpy"}
+                           "json", "numpy", "dataclasses", "inspect"}
 
 
 def _run_in_fresh_process(argvs, stdin="", numpy=False):
@@ -436,6 +436,21 @@ def _modules_loaded_by(argvs):
     """The names of the modules a fresh process holds after running each
     argv through cli.main."""
     return _run_in_fresh_process(argvs)[1]
+
+
+def test_short_commands_leave_dataclasses_and_inspect_unloaded(tmp_path):
+    # together they pull in ast, dis and tokenize: most of the package's
+    # own start-up before the records stopped using dataclasses
+    ix = str(tmp_path / "ix.json")
+    for argvs, stdin in (
+            ([["pnf", "ab"]], ""),
+            ([["enumerate", "--max-n", "1"]], ""),
+            ([["test", "-"], ["classify", "-"]], "ab\nba\naabab\nbbaba\n"),
+            ([["index", "build", "aabab", "-o", ix],
+              ["index", "query", ix, "2", "1"]], "")):
+        loaded = _run_in_fresh_process(argvs, stdin)[1]
+        assert "prefixnormal.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect"}, argvs
 
 
 def _few_runs_text(n, shift=0):

@@ -104,3 +104,103 @@ def test_traced_bench_replay_can_still_pass_jobs():
     for name in ("count_prefix_normal", "count_pre_necklaces",
                  "counts_table", "class_census", "verify_tables"):
         inspect.signature(getattr(prefixnormal, name)).bind(4, jobs=2)
+
+
+# One valid value of each public record class, by its fields in order.
+PROFILE_AB = prefixnormal.OnesProfile("max-a", (0, 1, 1))
+RECORDS = {
+    "OnesProfile": {"kind": "max-a", "values": (0, 1, 1)},
+    "PnfPair": {"pnf_a": "ab", "pnf_b": "ba"},
+    "JumbledIndex": {"n": 2, "max_a": PROFILE_AB,
+                     "min_a": prefixnormal.OnesProfile("min-a", (0, 0, 1))},
+    "RegionProfile": {"upper": (0, 1, 0), "lower": (0, -1, 0)},
+    "WordClass": {"is_lyndon": True, "is_necklace": True,
+                  "is_pre_necklace": True, "is_prefix_normal": True},
+    "CountsRow": {"n": 2, "count_prefix_normal": 3, "count_pre_necklace": 3},
+    "ClassCensus": {"n": 1, "classes": {"a": 1, "b": 1}, "total_words": 2},
+    "TableExpectations": {
+        "prefix_normal_counts": (2, 3), "pre_necklace_counts": (2, 3),
+        "max_class_sizes": (1, 1), "class_sizes_n4": {},
+        "class_sizes_n8": {}, "class_histogram_n8": {}},
+    "CellCheck": {"label": "cell", "expected": 1, "actual": 1},
+    "VerificationReport": {
+        "cells": [prefixnormal.census.CellCheck("c", 1, 2)]},
+}
+MUTABLE = {"ClassCensus", "VerificationReport"}
+
+
+def _record_class(name):
+    return getattr(prefixnormal, name, None) or getattr(
+        prefixnormal.census, name)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_build_by_position_and_by_keyword(name):
+    cls, fields = _record_class(name), RECORDS[name]
+    rec = cls(*fields.values())
+    assert rec == cls(**fields) and not rec != cls(**fields)
+    assert [getattr(rec, f) for f in fields] == list(fields.values())
+    assert repr(rec) == f"{name}(" + ", ".join(
+        f"{f}={v!r}" for f, v in fields.items()) + ")"
+    with pytest.raises(TypeError):
+        cls(*fields.values(), unknown_field=1)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), **{next(iter(fields)): 1})  # given twice
+    with pytest.raises(TypeError):
+        cls(*fields.values(), 1)  # one too many
+    if name != "TableExpectations":  # every one of its fields has a default
+        with pytest.raises(TypeError):
+            cls(*list(fields.values())[:-1])
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_frozen_records_refuse_assignment_and_hash_by_value(name):
+    cls, fields = _record_class(name), RECORDS[name]
+    rec, field = cls(**fields), next(iter(fields))
+    if name in MUTABLE:
+        setattr(rec, field, getattr(rec, field))
+        with pytest.raises(TypeError):
+            hash(rec)
+        return
+    with pytest.raises(AttributeError):
+        setattr(rec, field, getattr(rec, field))
+    with pytest.raises(AttributeError):
+        delattr(rec, field)
+    if name != "TableExpectations":  # its dict fields are unhashable
+        assert hash(rec) == hash(cls(**fields))
+
+
+def test_records_of_different_classes_never_compare_equal():
+    census = prefixnormal.census
+    assert census.CountsRow(1, 2, 2) != census.CellCheck(1, 2, 2)
+    assert census.CellCheck(1, 2, 2) != (1, 2, 2)
+
+    class Cell(census.CellCheck):
+        pass
+
+    assert Cell("c", 1, 1) != census.CellCheck("c", 1, 1)
+
+
+def test_trusted_records_equal_constructed_ones():
+    assert prefixnormal.max_a_profile("ab") == PROFILE_AB
+    assert prefixnormal.pnf_pair("ab") == prefixnormal.PnfPair("ab", "ba")
+    assert prefixnormal.build_index("ab") == prefixnormal.JumbledIndex(
+        **RECORDS["JumbledIndex"])
+    assert prefixnormal.region("ab") == prefixnormal.RegionProfile(
+        (0, 1, 0), (0, -1, 0))
+    assert prefixnormal.counts_table(2)[1] == prefixnormal.CountsRow(2, 3, 3)
+    assert prefixnormal.classify("ab") == prefixnormal.WordClass(
+        True, True, True, True)
+
+
+def test_table_expectations_defaults_are_fresh_dicts():
+    census = prefixnormal.census
+    first, second = census.TableExpectations(), census.TableExpectations()
+    assert first == second
+    assert first.prefix_normal_counts == census.PREFIX_NORMAL_COUNTS
+    first.class_sizes_n4.clear()
+    first.class_histogram_n8["extra"] = 1
+    assert second.class_sizes_n4 == census.CLASS_SIZES_N4 != {}
+    assert second.class_histogram_n8 == census.CLASS_HISTOGRAM_N8
+    assert census.TableExpectations().class_sizes_n4 == census.CLASS_SIZES_N4
+    assert first != second
