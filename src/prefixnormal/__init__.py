@@ -12,10 +12,10 @@ _EXPORTS = {
     "jpm": "JumbledIndex build_index index_from_json index_from_pnf query "
            "index_to_json parikh_set_equal parikh_set_oracle pnf_from_index",
     "lyndon": "WordClass classify is_lyndon is_necklace is_pre_necklace",
-    "census": "ClassCensus CountsRow TableExpectations VerificationReport "
-              "class_census class_members count_pre_necklaces "
-              "count_prefix_normal counts_table iter_pre_necklaces "
-              "iter_prefix_normal max_class_size verify_tables",
+    "census": "ClassCensus CountsRow VerificationReport class_census "
+              "class_members count_pre_necklaces count_prefix_normal "
+              "counts_table iter_pre_necklaces iter_prefix_normal "
+              "max_class_size verify_tables",
     "geometry": "RegionProfile region region_csv render_svg word_path",
 }
 _OWNER = {n: m for m, names in _EXPORTS.items() for n in names.split()}

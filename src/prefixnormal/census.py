@@ -163,7 +163,7 @@ def count_pre_necklaces(n: int, jobs: int = 1) -> int:
     return _pre_necklace_counts(n)[n]
 
 
-class CountsRow(Record, frozen=True):
+class CountsRow(Record):
     """Counts for one word length; fields not computed stay None."""
 
     n: int
@@ -360,18 +360,7 @@ CLASS_HISTOGRAM_N8 = {1: 7, 2: 24, 3: 5, 4: 16, 5: 2, 6: 9, 7: 1, 8: 4,
                       9: 1, 10: 1}
 
 
-class TableExpectations(Record, frozen=True):
-    """Reference cells recomputed by verify_tables."""
-
-    prefix_normal_counts: tuple[int, ...] = PREFIX_NORMAL_COUNTS
-    pre_necklace_counts: tuple[int, ...] = PRE_NECKLACE_COUNTS
-    max_class_sizes: tuple[int, ...] = MAX_CLASS_SIZES
-    class_sizes_n4: dict = CLASS_SIZES_N4  # each record gets a copy
-    class_sizes_n8: dict = CLASS_SIZES_N8
-    class_histogram_n8: dict = CLASS_HISTOGRAM_N8
-
-
-class CellCheck(Record, frozen=True):
+class CellCheck(Record):
     label: str
     expected: object
     actual: object
@@ -393,40 +382,37 @@ class VerificationReport(Record):
         return [c for c in self.cells if not c.ok]
 
 
-def verify_tables(expected: TableExpectations | None = None,
-                  max_n: int | None = None,
+def verify_tables(max_n: int | None = None,
                   jobs: int = 1) -> VerificationReport:
     """Recompute every reference cell and compare.
 
     ``max_n`` trims the per-length sequences (counts, max class sizes) for
     quick runs; the fixed-length censuses at n = 4 and n = 8 always run.
     """
-    exp = expected if expected is not None else TableExpectations()
-    limit = len(exp.prefix_normal_counts) if max_n is None else max_n
-    if not 1 <= limit <= len(exp.prefix_normal_counts):
-        raise ValueError(
-            f"max_n must be in 1..{len(exp.prefix_normal_counts)}")
+    limit = len(PREFIX_NORMAL_COUNTS) if max_n is None else max_n
+    if not 1 <= limit <= len(PREFIX_NORMAL_COUNTS):
+        raise ValueError(f"max_n must be in 1..{len(PREFIX_NORMAL_COUNTS)}")
     _check_jobs(jobs)
     cells: list[CellCheck] = []
 
     for name, counts, found in (
-            ("prefix-normal", exp.prefix_normal_counts, _tree_counts(limit)),
-            ("pre-necklace", exp.pre_necklace_counts,
+            ("prefix-normal", PREFIX_NORMAL_COUNTS, _tree_counts(limit)),
+            ("pre-necklace", PRE_NECKLACE_COUNTS,
              _pre_necklace_counts(limit))):
         cells += [CellCheck(f"{name} count n={n}", counts[n - 1], found[n])
                   for n in range(1, limit + 1)]
 
-    for n, sizes in ((4, exp.class_sizes_n4), (8, exp.class_sizes_n8)):
+    for n, sizes in ((4, CLASS_SIZES_N4), (8, CLASS_SIZES_N8)):
         result = class_census(n)
         found = result.classes
         cells.append(CellCheck(f"class count n={n}", len(sizes), len(found)))
         cells += [CellCheck(f"class size n={n} {rep}", size, found.get(rep))
                   for rep, size in sorted(sizes.items())]
     hist = result.histogram()  # the n = 8 census, the loop's last
-    for size, classes in sorted(exp.class_histogram_n8.items()):
+    for size, classes in sorted(CLASS_HISTOGRAM_N8.items()):
         cells.append(CellCheck(f"class histogram n=8 size={size}", classes,
                                hist.get(size)))
 
-    cells += [CellCheck(f"max class size n={n}", exp.max_class_sizes[n - 1],
+    cells += [CellCheck(f"max class size n={n}", MAX_CLASS_SIZES[n - 1],
                         max_class_size(n)) for n in range(1, limit + 1)]
     return VerificationReport(cells)

@@ -36,7 +36,7 @@ def word_path(w: str) -> list[tuple[int, int]]:
     return [(i, 2 * c - i) for i, c in enumerate(prefix_counts(w))]
 
 
-class RegionProfile(Record, frozen=True):
+class RegionProfile(Record):
     """Column-wise bounds of the factor region.
 
     upper[x] and lower[x] are the highest and lowest path heights over

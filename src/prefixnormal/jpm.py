@@ -23,7 +23,7 @@ INDEX_FORMAT_VERSION = 1
 DEFAULT_ORACLE_BOUND = 1000
 
 
-class JumbledIndex(Record, frozen=True):
+class JumbledIndex(Record):
     """Constant-time occurrence index: the (max-a, min-a) profile pair.
 
     Immutable after construction; concurrent queries are plain array reads.

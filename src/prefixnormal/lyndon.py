@@ -62,7 +62,7 @@ def _lyndon_prefix_period(w: str) -> int:
     return p
 
 
-class WordClass(Record, frozen=True):
+class WordClass(Record):
     """The four classification bits of one word.
 
     Lyndon implies necklace implies pre-necklace, and prefix normal

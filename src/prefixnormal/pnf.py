@@ -43,7 +43,7 @@ def build_pnf_b(w: str) -> str:
     return complement(build_pnf_a(complement(w)))
 
 
-class PnfPair(Record, frozen=True):
+class PnfPair(Record):
     """Both prefix normal forms of one source word.
 
     Validates that the components have equal length and are prefix normal
@@ -94,7 +94,7 @@ def _is_normal_by_scan(w: str) -> bool:
 
 
 _METHODS = {
-    "profile": lambda w: normality_witness(w) is None,
+    "profile": lambda w: not first_excess(prefix_counts(w)),
     "positions": _is_normal_by_positions,
     "scan": _is_normal_by_scan,
 }

@@ -34,7 +34,7 @@ _BLOCK_BUDGET = 1 << 16  # elements _slide gathers per pass
 _KINDS = ("max-a", "min-a", "max-b")
 
 
-class OnesProfile(Record, frozen=True):
+class OnesProfile(Record):
     """A length-indexed factor-count profile.
 
     values[k] is the max (or min) symbol count over length-k factors, for
@@ -106,12 +106,12 @@ def _packed(p):
     return fmt, w, v, steps.to_bytes(len(p) * w // 8, "little")[::w // 8]
 
 
-def _packed_slide(p, packed=None):
-    """window_max of one count list p with n < 32768, on ints with p[k] in
-    field k of w = 8 (n < 128) or 16 bits: out starts as the suffix counts,
-    then takes per 1-run start s the fieldwise max with D[k] = p[s + k] -
-    p[s] (0 past n - s), read off the high bit of out + 2^(w-1) - D > 0."""
-    fmt, w, v, marks = packed or _packed(p)
+def _packed_slide(p, packed):
+    """window_max of count list p, n < 32768, packed = _packed(p): on ints
+    with p[k] in field k of w = 8 (n < 128) or 16 bits, out starts as the
+    suffix counts, then takes per 1-run start s the fieldwise max with D[k]
+    = p[s + k] - p[s] (0 past n - s), by the high bit of out + 2^(w-1) - D."""
+    fmt, w, v, marks = packed
     ones = int.from_bytes(b"\1\0"[:w // 8] * len(p), "little")
     high, fill = ones << w - 1, (1 << w) - 1
     out = p[-1] * ones - int.from_bytes(pack(fmt, *p[::-1]), "little")
@@ -154,7 +154,7 @@ def first_excess(p):
     while best > 4 and (t := marks.find(b"\0\1", t + 1)) > 0:  # 4 is final
         k = t if t + t < n else n - t  # min() is slower
         k = k if k < best else best - 1
-        _packed_spent += k + 256
+        _packed_spent += (n >= 128) * (k + 256)  # 8-bit rows rent free
         fields = (1 << w * (k + 1)) - 1
         x = (top & fields) - (v >> w * t & fields) + p[t] * (ones & fields)
         if miss := (x & high) ^ (high & fields):

@@ -52,26 +52,18 @@ class ParikhVector(NamedTuple):
 
 class Record:
     """Base of the value classes, lighter to import than dataclasses.  The
-    annotated names of a subclass add its fields; a class attribute is a
-    default, a dict one copied per record.  A record builds by position or
-    keyword, runs __post_init__ and equals the records of its class with
-    equal fields; frozen=True makes it immutable and hashable."""
+    annotated names of a subclass add its fields.  A record builds by
+    position or keyword, runs __post_init__, equals the records of its
+    class with equal fields, hashes by them and refuses assignment."""
 
     _fields = ()
 
-    def __init_subclass__(cls, frozen: bool = False):
+    def __init_subclass__(cls):
         cls._fields += tuple(cls.__annotations__)
-        cls._defaults = {f: getattr(cls, f) for f in cls._fields
-                         if hasattr(cls, f)}
-        if frozen:
-            cls.__setattr__ = cls.__delattr__ = Record._refuse
-            cls.__hash__ = lambda self: hash(self._values())
 
     def __init__(self, *args, **kwargs):
         names = self._fields
-        fields = {f: dict(v) if type(v) is dict else v
-                  for f, v in self._defaults.items()}
-        fields.update(zip(names, args), **kwargs)
+        fields = dict(zip(names, args), **kwargs)
         if (len(args) > len(names) or fields.keys() != set(names)
                 or kwargs.keys() & names[:len(args)]):
             raise TypeError(f"{type(self).__name__} takes {names} once each")
@@ -88,12 +80,17 @@ class Record:
         same = other.__class__ is self.__class__
         return self._values() == other._values() if same else NotImplemented
 
+    def __hash__(self):
+        return hash(self._values())
+
     def __repr__(self):
         fields = map("{}={!r}".format, self._fields, self._values())
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
-    def _refuse(self, name, value=None):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
 
 
 def parse_word(text: str, alphabet: str = "ab") -> str:

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from prefixnormal import (ClassCensus, CountsRow, TableExpectations,
-                          build_pnf_a, class_census, class_members,
+from prefixnormal import (ClassCensus, CountsRow, build_pnf_a,
+                          class_census, class_members,
                           count_pre_necklaces, count_prefix_normal,
                           counts_table,
                           is_prefix_normal, iter_pre_necklaces,
@@ -13,7 +13,7 @@ from prefixnormal import (ClassCensus, CountsRow, TableExpectations,
                           verify_tables)
 from prefixnormal import census
 from prefixnormal.census import (CLASS_SIZES_N4, CLASS_SIZES_N8,
-                                 DEFAULT_COUNT_BOUND)
+                                 DEFAULT_COUNT_BOUND, PREFIX_NORMAL_COUNTS)
 from prefixnormal.words import ParseError
 
 from _oracles import (brute_pre_necklaces, count_prefix_normal_by_filter,
@@ -289,17 +289,14 @@ def test_verify_tables_passes():
     assert elapsed < 1.0
 
 
-def test_verify_tables_flags_tampered_cells():
-    tampered = TableExpectations(
-        prefix_normal_counts=(2, 3, 5, 8, 14, 23, 41, 71),
-        pre_necklace_counts=(2, 3, 5, 8, 14, 23, 41, 71),
-        max_class_sizes=(1, 2, 3, 4, 5, 6, 8, 10),
-        class_sizes_n4={**CLASS_SIZES_N4, "aabb": 5},
-        class_sizes_n8=dict(CLASS_SIZES_N8),
-        class_histogram_n8={1: 7, 2: 24, 3: 5, 4: 16, 5: 2, 6: 9, 7: 1,
-                            8: 4, 9: 1, 10: 1},
-    )
-    report = verify_tables(expected=tampered, max_n=8)
+def test_verify_tables_flags_tampered_cells(monkeypatch):
+    assert PREFIX_NORMAL_COUNTS[7] == 70
+    monkeypatch.setattr(census, "PREFIX_NORMAL_COUNTS",
+                        PREFIX_NORMAL_COUNTS[:7] + (71,)
+                        + PREFIX_NORMAL_COUNTS[8:])
+    monkeypatch.setattr(census, "CLASS_SIZES_N4",
+                        {**CLASS_SIZES_N4, "aabb": 5})
+    report = verify_tables(max_n=8)
     assert not report.all_ok
     failed = {c.label for c in report.failures}
     assert failed == {"prefix-normal count n=8", "class size n=4 aabb"}

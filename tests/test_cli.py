@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 import prefixnormal
 from prefixnormal import census, geometry, profiles
 from prefixnormal.census import (CLASS_HISTOGRAM_N8, CLASS_SIZES_N8,
-                                 PREFIX_NORMAL_COUNTS, TableExpectations,
-                                 class_members)
+                                 PREFIX_NORMAL_COUNTS, class_members)
 from prefixnormal.cli import main
 from prefixnormal.geometry import SUFFIX_PATHS_BOUND
 from prefixnormal.pnf import build_pnf_a
@@ -270,11 +269,8 @@ def test_classes_negative_length_is_usage_error(capsys):
 
 
 def test_verify_tables_reports_failed_cells(capsys, monkeypatch):
-    tampered = TableExpectations(
-        prefix_normal_counts=(2, 3, 6) + PREFIX_NORMAL_COUNTS[3:])
-    verify = census.verify_tables
-    monkeypatch.setattr(census, "verify_tables",
-                        lambda **kwargs: verify(tampered, **kwargs))
+    monkeypatch.setattr(census, "PREFIX_NORMAL_COUNTS",
+                        (2, 3, 6) + PREFIX_NORMAL_COUNTS[3:])
     code, out, _ = run(capsys, "verify-tables", "--max-n", "4")
     assert code == 1
     lines = out.splitlines()
@@ -515,6 +511,18 @@ def test_test_and_classify_batches_leave_numpy_unloaded():
         out, loaded = _run_in_fresh_process([[command, "-"]], stdin)
         assert "prefixnormal.pnf" in loaded and "numpy" not in loaded
         assert out == _run_in_fresh_process([[command, "-"]], stdin, True)[0]
+
+
+def test_8_bit_words_leave_the_ledger_to_16_bit_ones():
+    # 600 prefix normal 100-symbol words would spend the whole ledger at
+    # k + 256 a walked start; 8-bit words rent free, as in window_max
+    rng = random.Random(2422)
+    words = [build_pnf_a(random_word(rng, n)) for n in [100] * 600 + [300] * 5]
+    stdin = "\n".join(words) + "\n"
+    out, loaded = _run_in_fresh_process([["test", "-"]], stdin)
+    assert "prefixnormal.pnf" in loaded and "numpy" not in loaded
+    assert out == _run_in_fresh_process([["test", "-"]], stdin, True)[0]
+    assert out == "normal\n" * len(words)
 
 
 def test_constant_words_at_the_top_of_8_bit_fields(capsys, tmp_path):

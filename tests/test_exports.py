@@ -24,11 +24,10 @@ EXPORTS = {
             "parikh_set_oracle", "pnf_from_index", "query"],
     "lyndon": ["WordClass", "classify", "is_lyndon", "is_necklace",
                "is_pre_necklace"],
-    "census": ["ClassCensus", "CountsRow", "TableExpectations",
-               "VerificationReport", "class_census", "class_members",
-               "count_pre_necklaces", "count_prefix_normal", "counts_table",
-               "iter_pre_necklaces", "iter_prefix_normal", "max_class_size",
-               "verify_tables"],
+    "census": ["ClassCensus", "CountsRow", "VerificationReport",
+               "class_census", "class_members", "count_pre_necklaces",
+               "count_prefix_normal", "counts_table", "iter_pre_necklaces",
+               "iter_prefix_normal", "max_class_size", "verify_tables"],
     "geometry": ["RegionProfile", "region", "region_csv", "render_svg",
                  "word_path"],
 }
@@ -71,8 +70,9 @@ def test_submodule_resolves_in_a_fresh_process():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         prefixnormal.no_such_name
-    with pytest.raises(ImportError):
-        exec("from prefixnormal import no_such_name", {})
+    for name in ("no_such_name", "TableExpectations"):  # the latter dropped
+        with pytest.raises(ImportError):
+            exec(f"from prefixnormal import {name}", {})
 
 
 # The parameters of the census functions and the oracle.  Their size bounds
@@ -82,7 +82,7 @@ SIGNATURES = {
     "count_pre_necklaces": ["n", "jobs"],
     "counts_table": ["max_n", "what", "jobs"],
     "class_census": ["n", "jobs"],
-    "verify_tables": ["expected", "max_n", "jobs"],
+    "verify_tables": ["max_n", "jobs"],
     "max_class_size": ["n"],
     "class_members": ["pnf"],
     "iter_prefix_normal": ["n"],
@@ -100,10 +100,14 @@ def test_census_and_oracle_parameters_are_pinned():
 def test_traced_bench_replay_can_still_pass_jobs():
     # Every count and census runs in one process, so the library reads
     # ``jobs`` only to check it; the keyword stays because the bench's
-    # traced replay (bench/tracing.py) calls these five with jobs=.
-    for name in ("count_prefix_normal", "count_pre_necklaces",
-                 "counts_table", "class_census", "verify_tables"):
-        inspect.signature(getattr(prefixnormal, name)).bind(4, jobs=2)
+    # traced replay (bench/tracing.py) makes these five calls.
+    for name, args, kwargs in (
+            ("verify_tables", (), {"jobs": 2}),
+            ("counts_table", (22,), {"what": "both", "jobs": 2}),
+            ("class_census", (20,), {"jobs": 2}),
+            ("count_prefix_normal", (22,), {"jobs": 2}),
+            ("count_pre_necklaces", (22,), {"jobs": 2})):
+        inspect.signature(getattr(prefixnormal, name)).bind(*args, **kwargs)
 
 
 # One valid value of each public record class, by its fields in order.
@@ -118,15 +122,11 @@ RECORDS = {
                   "is_pre_necklace": True, "is_prefix_normal": True},
     "CountsRow": {"n": 2, "count_prefix_normal": 3, "count_pre_necklace": 3},
     "ClassCensus": {"n": 1, "classes": {"a": 1, "b": 1}, "total_words": 2},
-    "TableExpectations": {
-        "prefix_normal_counts": (2, 3), "pre_necklace_counts": (2, 3),
-        "max_class_sizes": (1, 1), "class_sizes_n4": {},
-        "class_sizes_n8": {}, "class_histogram_n8": {}},
     "CellCheck": {"label": "cell", "expected": 1, "actual": 1},
     "VerificationReport": {
         "cells": [prefixnormal.census.CellCheck("c", 1, 2)]},
 }
-MUTABLE = {"ClassCensus", "VerificationReport"}
+UNHASHABLE = {"ClassCensus", "VerificationReport"}  # dict and list fields
 
 
 def _record_class(name):
@@ -148,26 +148,35 @@ def test_records_build_by_position_and_by_keyword(name):
         cls(*fields.values(), **{next(iter(fields)): 1})  # given twice
     with pytest.raises(TypeError):
         cls(*fields.values(), 1)  # one too many
-    if name != "TableExpectations":  # every one of its fields has a default
-        with pytest.raises(TypeError):
-            cls(*list(fields.values())[:-1])
+    with pytest.raises(TypeError):
+        cls(*list(fields.values())[:-1])
 
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_frozen_records_refuse_assignment_and_hash_by_value(name):
     cls, fields = _record_class(name), RECORDS[name]
     rec, field = cls(**fields), next(iter(fields))
-    if name in MUTABLE:
-        setattr(rec, field, getattr(rec, field))
-        with pytest.raises(TypeError):
-            hash(rec)
-        return
     with pytest.raises(AttributeError):
         setattr(rec, field, getattr(rec, field))
     with pytest.raises(AttributeError):
         delattr(rec, field)
-    if name != "TableExpectations":  # its dict fields are unhashable
+    with pytest.raises(AttributeError):
+        rec.unknown_field = 1
+    assert rec == cls(**fields)
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
         assert hash(rec) == hash(cls(**fields))
+
+
+def test_records_take_no_class_keyword_and_no_field_default():
+    with pytest.raises(TypeError):
+        class Mutable(prefixnormal.words.Record, frozen=False):
+            x: int
+    for name in RECORDS:
+        cls = _record_class(name)
+        assert not set(cls._fields) & set(vars(cls)), name
 
 
 def test_records_of_different_classes_never_compare_equal():
@@ -192,15 +201,3 @@ def test_trusted_records_equal_constructed_ones():
     assert prefixnormal.classify("ab") == prefixnormal.WordClass(
         True, True, True, True)
 
-
-def test_table_expectations_defaults_are_fresh_dicts():
-    census = prefixnormal.census
-    first, second = census.TableExpectations(), census.TableExpectations()
-    assert first == second
-    assert first.prefix_normal_counts == census.PREFIX_NORMAL_COUNTS
-    first.class_sizes_n4.clear()
-    first.class_histogram_n8["extra"] = 1
-    assert second.class_sizes_n4 == census.CLASS_SIZES_N4 != {}
-    assert second.class_histogram_n8 == census.CLASS_HISTOGRAM_N8
-    assert census.TableExpectations().class_sizes_n4 == census.CLASS_SIZES_N4
-    assert first != second

@@ -154,7 +154,7 @@ def test_packed_slide_matches_numpy_and_brute_scan(w):
         assert [profiles._slide(p)[:, 0].tolist()] == expected
         assert profiles.window_max([p]) == expected
         if len(w) < 128:  # 8-bit fields
-            assert [profiles._packed_slide(p)] == expected
+            assert [profiles._packed_slide(p, profiles._packed(p))] == expected
 
 
 @st.composite
@@ -178,7 +178,8 @@ def test_packed_slide_on_16_bit_fields(w):
     rows = _rows(w, True)
     expected = (brute_window_max if len(w) <= 1000 else scan_window_max)(rows)
     assert [profiles._slide(p)[:, 0].tolist() for p in rows] == expected
-    assert [profiles._packed_slide(p) for p in rows] == expected
+    packed = map(profiles._packed, rows)
+    assert list(map(profiles._packed_slide, rows, packed)) == expected
 
 
 def test_16_bit_words_slide_packed_while_the_budget_lasts(monkeypatch):
@@ -241,7 +242,8 @@ def test_packed_slide_at_the_last_16_bit_length():
     max_a, min_a = _closed_form_bounds(a1, b, a2)
     expected = [max_a, complement_counts(min_a)]
     rows = _rows(w, True)
-    assert [profiles._packed_slide(p) for p in rows] == expected
+    packed = map(profiles._packed, rows)
+    assert list(map(profiles._packed_slide, rows, packed)) == expected
     assert [profiles._slide(p)[:, 0].tolist() for p in rows] == expected
 
 
