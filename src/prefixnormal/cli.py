@@ -62,6 +62,25 @@ def _columns_table(rows: list[tuple[str, list[object]]]) -> str:
         for (label, _), row in zip(rows, table))
 
 
+_PADDED: dict[int, list[str]] = {}  # _PADDED[d][v]: str(v) padded to width d
+
+
+def _profile_table(max_a: list[int], max_b: list[int]) -> str:
+    """_columns_table of the k, F_a and F_b rows, joined from numbers padded
+    once per process: column k is len(str(k)) wide, as 0 <= F[k] <= k."""
+    n = len(max_a) - 1
+    rows = {"k  ": range(n + 1), "F_a": max_a, "F_b": max_b}
+    lines = dict.fromkeys(rows, "")
+    lo = hi = 0
+    for d in range(1, len(str(n)) + 1):
+        lo, hi = hi, min(n + 1, 10 ** d)
+        pad = _PADDED.setdefault(d, [])
+        pad += [str(v).rjust(d) for v in range(len(pad), hi)]
+        for label, row in rows.items():
+            lines[label] += "  " + "  ".join(map(pad.__getitem__, row[lo:hi]))
+    return "\n".join(label + cells for label, cells in lines.items())
+
+
 def _write(path: str | None, text: str) -> None:
     """Write ``text`` to the file at ``path``, or to stdout without one."""
     if not path:
@@ -121,9 +140,7 @@ def cmd_profiles(args) -> int:
             _print_json({"n": len(w), "Fa": max_a, "Fb": max_b,
                          "fa": complement_counts(max_b)})
         else:
-            ks = list(range(len(w) + 1))
-            print(_columns_table([("k", ks), ("F_a", max_a),
-                                  ("F_b", max_b)]))
+            print(_profile_table(max_a, max_b))
         return 0
     return _each_word(args, one)
 

@@ -94,38 +94,40 @@ class RegionProfile(Record):
         if n != self.n:
             raise ValueError(f"word length {n} differs from region length "
                              f"{self.n}")
-        pad = 1
-        y_hi = max(self.upper)
-        y_lo = min(self.lower)
-        width = (n + 2 * pad) * unit
-        height = (y_hi - y_lo + 2 * pad) * unit
+        y_hi, y_lo = max(self.upper), min(self.lower)
+        width = (n + 2) * unit  # one unit of padding on each side
+        height = (y_hi - y_lo + 2) * unit
+        heights = [y for _, y in word_path(w)]
+        # each x and each drawn height formatted once, more a's drawn higher;
+        # suffix heights are differences of heights, so lo <= 0 <= hi spans
+        # them all, and ys puts a negative y where it indexes from the end
+        lo = min(y_lo, min(heights) - max(heights))
+        hi = max(y_hi, max(heights) - min(heights))
+        xs = [f"{(1 + x) * unit}," for x in range(n + 1)]
+        ys = [str((1 + y_hi - y) * unit)
+              for y in (*range(hi + 1), *range(lo, 0))]
 
-        def px(x: int, y: int) -> tuple[int, int]:
-            # y axis flipped: more a's renders upward
-            return (pad + x) * unit, (pad + y_hi - y) * unit
+        def points(hs) -> list[str]:
+            return list(map(str.__add__, xs, map(ys.__getitem__, hs)))
 
-        upper_pts = [px(k, y) for k, y in enumerate(self.upper)]
-        lower_pts = [px(k, y) for k, y in enumerate(self.lower)]
+        upper, lower = points(self.upper), points(self.lower)
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}">',
+            f'<polygon points="{" ".join(upper + lower[::-1])}" '
+            f'style="{_STYLE_REGION}"/>',
+            f'<line x1="{unit}" y1="{ys[0]}" x2="{(n + 1) * unit}" '
+            f'y2="{ys[0]}" style="{_STYLE_AXIS}"/>',
         ]
-        polygon = " ".join(f"{x},{y}" for x, y in upper_pts + lower_pts[::-1])
-        parts.append(f'<polygon points="{polygon}" style="{_STYLE_REGION}"/>')
-        ax0, ay0 = px(0, 0)
-        ax1, _ = px(n, 0)
-        parts.append(f'<line x1="{ax0}" y1="{ay0}" x2="{ax1}" y2="{ay0}" '
-                     f'style="{_STYLE_AXIS}"/>')
         if suffix_paths:
-            for start in range(1, n):
-                pts = [px(x, y) for x, y in word_path(w[start:])]
-                parts.append(_polyline(pts, _STYLE_SUFFIX))
-        parts.append(_polyline(upper_pts, _STYLE_UPPER))
-        parts.append(_polyline(lower_pts, _STYLE_LOWER))
-        parts.append(_polyline([px(x, y) for x, y in word_path(w)],
-                               _STYLE_WORD))
-        parts.append(f'<circle cx="{ax0}" cy="{ay0}" r="3" fill="#000000"/>')
-        parts.append("</svg>")
+            for start, h0 in enumerate(heights[1:n], 1):
+                suffix = [y - h0 for y in heights[start:]]
+                parts.append(_polyline(points(suffix), _STYLE_SUFFIX))
+        parts += [_polyline(upper, _STYLE_UPPER),
+                  _polyline(lower, _STYLE_LOWER),
+                  _polyline(points(heights), _STYLE_WORD),
+                  f'<circle cx="{unit}" cy="{ys[0]}" r="3" fill="#000000"/>',
+                  "</svg>"]
         return "\n".join(parts) + "\n"
 
 
@@ -154,9 +156,8 @@ def check_render(n: int, unit: int, suffix_paths: bool) -> None:
         raise ValueError("unit must be a positive integer")
 
 
-def _polyline(points: list[tuple[int, int]], style: str) -> str:
-    coords = " ".join(f"{x},{y}" for x, y in points)
-    return f'<polyline points="{coords}" style="{style}"/>'
+def _polyline(points: list[str], style: str) -> str:
+    return f'<polyline points="{" ".join(points)}" style="{style}"/>'
 
 
 def render_svg(w: str, unit: int = 16, suffix_paths: bool = False) -> str:

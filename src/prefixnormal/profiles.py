@@ -26,7 +26,7 @@ from .words import Record, complement, complement_counts, prefix_counts
 
 # Packed vs numpy _slide on two rows: 37/55 us at n = 64, 5/1.7 ms at 10^4
 # in few runs, 630/31 for a random 1.6*10^4; first_excess keeps up packed.
-# So 16-bit words go packed while a ~20 ms ledger (numpy imports in 70-95)
+# So 16-bit words go packed while a ~20 ms ledger (numpy's import: ~41)
 # lasts: a compared field 4.4 ns, a 1-run start 256, a slide start 1/512.
 _PACKED_FIELDS, _PACKED_STARTS, _packed_spent = 9 << 19, 512, 0
 _BLOCK_BUDGET = 1 << 16  # elements _slide gathers per pass

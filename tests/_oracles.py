@@ -6,16 +6,21 @@ The cross-check predicates at the end restate prefix normality in other
 terms, and the filter count and Lyndon completion check run the library's
 own predicates over every word.  The depth-first tree walkers at the end
 enumerate both languages one node at a time, independently of the
-level-by-level frontier the library counts with.
+level-by-level frontier the library counts with.  The two formatters
+at the very end print the profile table and the region SVG one cell and
+one point at a time, and ``assert_same_text`` compares their output.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import product
 from typing import Iterator
 
-from prefixnormal import is_lyndon, is_prefix_normal
+import pytest
+
+from prefixnormal import geometry, is_lyndon, is_prefix_normal, word_path
 from prefixnormal.lyndon import _lyndon_prefix_period
 from prefixnormal.pnf import _a_extends
 from prefixnormal.words import prefix_counts, word_from_counts
@@ -267,3 +272,68 @@ def walk_words(kind: str, n: int) -> list[str]:
     """The words of length ``n`` in the ``kind`` tree, in walk order."""
     walk, decode = WALKS[kind]
     return [decode(state) for depth, state in walk("", n) if depth == n]
+
+
+def profile_table_by_cells(max_a: list[int], max_b: list[int]) -> str:
+    """The ``profiles`` text table with every cell formatted and padded on
+    its own to the widest cell of its column."""
+    rows = [("k", list(range(len(max_a)))), ("F_a", max_a), ("F_b", max_b)]
+    label_w = max(len(label) for label, _ in rows)
+    table = [[str(cell) for cell in cells] for _, cells in rows]
+    widths = [max(len(row[k]) for row in table) for k in range(len(max_a))]
+    return "\n".join(
+        label.ljust(label_w) + "  "
+        + "  ".join(cell.rjust(wd) for cell, wd in zip(row, widths))
+        for (label, _), row in zip(rows, table))
+
+
+def svg_by_points(reg, w: str, unit: int = 16,
+                  suffix_paths: bool = False) -> str:
+    """``reg.svg(w, unit, suffix_paths)`` with every point mapped to pixels
+    and formatted on its own, and every suffix path drawn from its own
+    ``word_path``."""
+    n, pad = len(w), 1
+    y_hi, y_lo = max(reg.upper), min(reg.lower)
+    width = (n + 2 * pad) * unit
+    height = (y_hi - y_lo + 2 * pad) * unit
+
+    def px(x: int, y: int) -> tuple[int, int]:
+        return (pad + x) * unit, (pad + y_hi - y) * unit
+
+    def polyline(points, style: str) -> str:
+        coords = " ".join(f"{x},{y}" for x, y in points)
+        return f'<polyline points="{coords}" style="{style}"/>'
+
+    upper_pts = [px(k, y) for k, y in enumerate(reg.upper)]
+    lower_pts = [px(k, y) for k, y in enumerate(reg.lower)]
+    polygon = " ".join(f"{x},{y}" for x, y in upper_pts + lower_pts[::-1])
+    (ax0, ay0), (ax1, _) = px(0, 0), px(n, 0)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<polygon points="{polygon}" style="{geometry._STYLE_REGION}"/>',
+        f'<line x1="{ax0}" y1="{ay0}" x2="{ax1}" y2="{ay0}" '
+        f'style="{geometry._STYLE_AXIS}"/>',
+    ]
+    if suffix_paths:
+        for start in range(1, n):
+            parts.append(polyline([px(x, y) for x, y in word_path(w[start:])],
+                                  geometry._STYLE_SUFFIX))
+    parts.append(polyline(upper_pts, geometry._STYLE_UPPER))
+    parts.append(polyline(lower_pts, geometry._STYLE_LOWER))
+    parts.append(polyline([px(x, y) for x, y in word_path(w)],
+                          geometry._STYLE_WORD))
+    parts.append(f'<circle cx="{ax0}" cy="{ay0}" r="3" fill="#000000"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Fail naming the first byte where ``got`` and ``want`` differ:
+    pytest's own report on two unequal lines of 10^4 cells or points each
+    takes minutes."""
+    if got != want:
+        i = len(os.path.commonprefix([got, want]))
+        lo = max(i - 40, 0)
+        pytest.fail(f"text differs at byte {i}: {got[lo:i + 40]!r} != "
+                    f"{want[lo:i + 40]!r}")

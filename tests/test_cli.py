@@ -14,14 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefixnormal
-from prefixnormal import census, geometry, profiles
+from prefixnormal import census, cli, geometry, profiles
 from prefixnormal.census import (CLASS_HISTOGRAM_N8, CLASS_SIZES_N8,
                                  PREFIX_NORMAL_COUNTS, class_members)
 from prefixnormal.cli import main
 from prefixnormal.geometry import SUFFIX_PATHS_BOUND
 from prefixnormal.pnf import build_pnf_a
 
-from _oracles import excess_by_scan, random_word, with_prefix_pasted
+from _oracles import (assert_same_text, excess_by_scan, profile_table_by_cells,
+                      random_word, with_prefix_pasted)
 
 EXAMPLE_WORD = "ababbaabaabbbaaabbab"
 
@@ -119,6 +120,38 @@ def test_profiles_json(capsys):
         "Fb": [0, 1, 2, 2, 2],
         "fa": [0, 0, 0, 1, 2],
     }
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing"])
+def test_profile_table_matches_the_per_cell_oracle(capsys, monkeypatch,
+                                                  order):
+    # lengths on both sides of each new column width, in an order that
+    # grows the padded-number cache from empty or fills the short widths
+    # last; the empty word comes as an argument, since a batch skips blank
+    # lines
+    monkeypatch.setattr(cli, "_PADDED", {})
+    monkeypatch.setattr(profiles, "_packed_spent", profiles._packed_spent)
+    rng = random.Random(order)
+    lengths = [1, 9, 10, 99, 100, 999, 1000, 10_000]
+    if order == "decreasing":
+        lengths.reverse()
+    words = [random_word(rng, n) for n in lengths]
+    expected = {w: profile_table_by_cells(
+        list(profiles.max_a_profile(w).values),
+        list(profiles.max_b_profile(w).values)) + "\n"
+        for w in ["", *words]}
+    assert expected[""] == "k    0\nF_a  0\nF_b  0\n"
+    if order == "increasing":
+        assert run(capsys, "profiles", "") == (0, expected[""], "")
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(words) + "\n"))
+    code, out, err = run(capsys, "profiles", "-")
+    assert (code, err) == (0, "")
+    assert_same_text(out, "".join(expected[w] for w in words))
+    if order == "decreasing":
+        assert run(capsys, "profiles", "") == (0, expected[""], "")
+    # each width holds the numbers up to the longest word, and no more
+    assert [len(cli._PADDED[d]) for d in range(1, 6)] == [
+        10, 100, 1000, 10_000, 10_001]
 
 
 def test_query_command(capsys):

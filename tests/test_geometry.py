@@ -8,7 +8,8 @@ from prefixnormal import (RegionProfile, build_index, build_pnf_a,
                           word_path)
 from prefixnormal.geometry import SUFFIX_PATHS_BOUND
 
-from _oracles import random_word, words_up_to
+from _oracles import (assert_same_text, random_word, svg_by_points,
+                      words_up_to)
 
 EXAMPLE_WORD = "ababbaabaabbbaaabbab"
 
@@ -151,3 +152,70 @@ def test_suffix_paths_bound():
         render_svg(w, suffix_paths=True)
     with pytest.raises(ValueError, match="suffix-path bound"):
         region(w).svg(w, suffix_paths=True)
+
+
+def test_svg_rejects_a_word_of_another_length():
+    with pytest.raises(ValueError,
+                       match="^word length 3 differs from region length 2$"):
+        region("ab").svg("abb")
+
+
+# svg bytes for a word whose path leaves its region, as the per-point
+# formatter drew them
+SVG_OFF_REGION = {
+    ("aaaa", "bbbb"):
+        '<svg xmlns="http://www.w3.org/2000/svg" width="96" height="96" '
+        'viewBox="0 0 96 96">\n'
+        '<polygon points="16,80 32,64 48,48 64,32 80,16 80,16 64,32 48,48 '
+        '32,64 16,80" style="fill:#cfe3f5;stroke:none"/>\n'
+        '<line x1="16" y1="80" x2="80" y2="80" '
+        'style="stroke:#d0d0d0;stroke-width:1"/>\n'
+        '<polyline points="16,80 32,64 48,48 64,32 80,16" '
+        'style="fill:none;stroke:#1f77b4;stroke-width:2"/>\n'
+        '<polyline points="16,80 32,64 48,48 64,32 80,16" '
+        'style="fill:none;stroke:#2ca02c;stroke-width:2"/>\n'
+        '<polyline points="16,80 32,96 48,112 64,128 80,144" '
+        'style="fill:none;stroke:#000000;stroke-width:2"/>\n'
+        '<circle cx="16" cy="80" r="3" fill="#000000"/>\n</svg>\n',
+    ("abab", "bbaa"):
+        '<svg xmlns="http://www.w3.org/2000/svg" width="96" height="64" '
+        'viewBox="0 0 96 64">\n'
+        '<polygon points="16,32 32,16 48,32 64,16 80,32 80,32 64,48 48,32 '
+        '32,48 16,32" style="fill:#cfe3f5;stroke:none"/>\n'
+        '<line x1="16" y1="32" x2="80" y2="32" '
+        'style="stroke:#d0d0d0;stroke-width:1"/>\n'
+        '<polyline points="16,32 32,16 48,32 64,16 80,32" '
+        'style="fill:none;stroke:#1f77b4;stroke-width:2"/>\n'
+        '<polyline points="16,32 32,48 48,32 64,48 80,32" '
+        'style="fill:none;stroke:#2ca02c;stroke-width:2"/>\n'
+        '<polyline points="16,32 32,48 48,64 64,48 80,32" '
+        'style="fill:none;stroke:#000000;stroke-width:2"/>\n'
+        '<circle cx="16" cy="32" r="3" fill="#000000"/>\n</svg>\n',
+}
+
+
+@pytest.mark.parametrize("region_word, word", sorted(SVG_OFF_REGION))
+def test_svg_draws_any_word_of_the_region_length(region_word, word):
+    # "bbbb" runs below the region of "aaaa" and "bbaa" below that of
+    # "abab": the svg still draws it, point for point
+    expected = SVG_OFF_REGION[region_word, word]
+    assert region(region_word).svg(word) == expected
+    assert svg_by_points(region(region_word), word) == expected
+    for suffix_paths in (False, True):
+        assert_same_text(region(region_word).svg(word, 3, suffix_paths),
+                         svg_by_points(region(region_word), word, 3,
+                                       suffix_paths))
+
+
+@pytest.mark.parametrize("unit", [1, 3, 16])
+def test_svg_matches_the_per_point_oracle(unit):
+    rng = random.Random(unit)
+    lengths = [0, 1, 2, 3, 300, *(rng.randrange(4, 300) for _ in range(5))]
+    for n in lengths:
+        w, other = random_word(rng, n), random_word(rng, n)
+        # ``other`` draws over the region of ``w``, often outside it
+        for reg, word in ((region(w), w), (region(w), other),
+                          (region("a" * n), "b" * n)):
+            for suffix_paths in (False, True):
+                assert_same_text(reg.svg(word, unit, suffix_paths),
+                                 svg_by_points(reg, word, unit, suffix_paths))
