@@ -16,7 +16,9 @@ known count/class tables is frozen here and re-derived by verify_tables.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from itertools import islice
 from typing import Iterator
 
 from .pnf import _a_extends, is_prefix_normal
@@ -416,3 +418,96 @@ def verify_tables(max_n: int | None = None,
     cells += [CellCheck(f"max class size n={n}", MAX_CLASS_SIZES[n - 1],
                         max_class_size(n)) for n in range(1, limit + 1)]
     return VerificationReport(cells)
+
+
+# ---------------------------------------------------------------------------
+# The output of the enumerate, classes and verify-tables commands: kept here,
+# which only those commands load, so that no other command compiles it
+
+
+def _columns_table(rows: list[tuple[str, list[object]]]) -> str:
+    """Rows of (label, cells) printed as aligned columns."""
+    label_w = max(len(label) for label, _ in rows)
+    table = [list(map(str, cells)) for _, cells in rows]
+    lens = [list(map(len, row)) for row in table]
+    widths = list(map(max, lens[0], *lens))  # one-row tables too: max(x, x)
+    return "\n".join(
+        f"{label.ljust(label_w)}  {'  '.join(map(str.rjust, row, widths))}"
+        for (label, _), row in zip(rows, table))
+
+
+def _write_lines(lines) -> None:
+    """Write the iterator ``lines`` to stdout 4096 at a time: unbuffered,
+    stdout makes a syscall of every write, and one write would hold all the
+    text at once."""
+    while block := "".join(islice(lines, 4096)):
+        sys.stdout.write(block)
+
+
+def _cmd_enumerate(args, print_json) -> int:
+    rows = counts_table(args.max_n, what=args.what, jobs=args.jobs)
+    if args.format == "json":
+        print_json([{"n": r.n, "prefixNormal": r.count_prefix_normal,
+                      "preNecklace": r.count_pre_necklace} for r in rows])
+    elif args.format == "csv":
+        print("n,prefix_normal,pre_necklace")
+        for r in rows:
+            a = "" if r.count_prefix_normal is None else r.count_prefix_normal
+            b = "" if r.count_pre_necklace is None else r.count_pre_necklace
+            print(f"{r.n},{a},{b}")
+    else:
+        table = [("n", [r.n for r in rows])]
+        if args.what != "prenecklace":
+            table.append(("prefix-normal",
+                          [r.count_prefix_normal for r in rows]))
+        if args.what != "pnf":
+            table.append(("pre-necklace",
+                          [r.count_pre_necklace for r in rows]))
+        print(_columns_table(table))
+    return 0
+
+
+def _cmd_classes(args, print_json) -> int:
+    _check_jobs(args.jobs)  # class_members takes no jobs
+    if args.members is not None:
+        if args.histogram:
+            raise ValueError("--histogram applies to --n, not to --members")
+        rep = parse_word(args.members, args.alphabet)
+        if args.n is not None and args.n != len(rep):
+            raise ValueError(f"--n {args.n} disagrees with the length of "
+                             f"{rep!r}")
+        members = class_members(rep)
+        if args.format == "json":
+            print_json({"pnf": rep, "members": members})
+        else:
+            _write_lines(f"{m}\n" for m in members)
+        return 0
+    if args.n is None:
+        raise ValueError("either --n or --members is required")
+    result = class_census(args.n)
+    if args.format == "json":
+        doc = {"n": result.n, "classes": result.classes}
+        if args.histogram:
+            doc["histogram"] = {str(k): v
+                                for k, v in result.histogram().items()}
+        print_json(doc)
+        return 0
+    _write_lines(f"{rep} {size}\n" for rep, size in result.classes.items())
+    if args.histogram:
+        print("size classes")
+        _write_lines(f"{size} {count}\n"
+                     for size, count in result.histogram().items())
+    return 0
+
+
+def _cmd_verify_tables(args, print_json) -> int:
+    report = verify_tables(max_n=args.max_n, jobs=args.jobs)
+    for cell in report.cells:
+        if cell.ok:
+            print(f"ok   {cell.label}")
+        else:
+            print(f"FAIL {cell.label}: expected {cell.expected}, "
+                  f"got {cell.actual}")
+    good = len(report.cells) - len(report.failures)
+    print(f"{good}/{len(report.cells)} cells match")
+    return 0 if report.all_ok else 1

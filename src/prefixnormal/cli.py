@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import islice
 
-from .words import ParseError, complement_counts, parse_word
+from .words import (ParseError, complement_counts, parse_word,
+                    word_from_counts)
 
 
 def _each_word(args, handle) -> int:
@@ -51,17 +51,6 @@ def _each_word(args, handle) -> int:
     return 2 if failed else verdict
 
 
-def _columns_table(rows: list[tuple[str, list[object]]]) -> str:
-    """Rows of (label, cells) printed as aligned columns."""
-    label_w = max(len(label) for label, _ in rows)
-    table = [list(map(str, cells)) for _, cells in rows]
-    lens = [list(map(len, row)) for row in table]
-    widths = list(map(max, lens[0], *lens))  # one-row tables too: max(x, x)
-    return "\n".join(
-        f"{label.ljust(label_w)}  {'  '.join(map(str.rjust, row, widths))}"
-        for (label, _), row in zip(rows, table))
-
-
 _PADDED: dict[int, list[str]] = {}  # _PADDED[d][v]: str(v) padded to width d
 
 
@@ -88,14 +77,6 @@ def _write(path: str | None, text: str) -> None:
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _write_lines(lines) -> None:
-    """Write the iterator ``lines`` to stdout 4096 at a time: unbuffered,
-    stdout makes a syscall of every write, and one write would hold all the
-    text at once."""
-    while block := "".join(islice(lines, 4096)):
-        sys.stdout.write(block)
 
 
 def _print_json(doc) -> None:
@@ -163,11 +144,11 @@ def cmd_index(args) -> int:
         _write(args.output, jpm.index_to_json(jpm.build_index(w)) + "\n")
         return 0
     with open(args.file, encoding="utf-8") as fh:
-        ix, pair = jpm._load_index(fh.read())
+        ix = jpm.index_from_json(fh.read())
     if args.index_cmd == "query":
         return _report_query(jpm.query(ix, (args.x, args.y)))
-    print(f"PNF_a: {pair.pnf_a}")
-    print(f"PNF_b: {pair.pnf_b}")
+    print(f"PNF_a: {word_from_counts(ix.max_a.values)}")  # checked above
+    print(f"PNF_b: {word_from_counts(ix.min_a.values)}")
     return 0
 
 
@@ -180,62 +161,10 @@ def cmd_classify(args) -> int:
     return _each_word(args, one)
 
 
-def cmd_enumerate(args) -> int:
-    from . import census
-    rows = census.counts_table(args.max_n, what=args.what, jobs=args.jobs)
-    if args.format == "json":
-        _print_json([{"n": r.n, "prefixNormal": r.count_prefix_normal,
-                      "preNecklace": r.count_pre_necklace} for r in rows])
-    elif args.format == "csv":
-        print("n,prefix_normal,pre_necklace")
-        for r in rows:
-            a = "" if r.count_prefix_normal is None else r.count_prefix_normal
-            b = "" if r.count_pre_necklace is None else r.count_pre_necklace
-            print(f"{r.n},{a},{b}")
-    else:
-        table = [("n", [r.n for r in rows])]
-        if args.what != "prenecklace":
-            table.append(("prefix-normal",
-                          [r.count_prefix_normal for r in rows]))
-        if args.what != "pnf":
-            table.append(("pre-necklace",
-                          [r.count_pre_necklace for r in rows]))
-        print(_columns_table(table))
-    return 0
-
-
-def cmd_classes(args) -> int:
-    from . import census
-    census._check_jobs(args.jobs)  # class_members takes no jobs
-    if args.members is not None:
-        if args.histogram:
-            raise ValueError("--histogram applies to --n, not to --members")
-        rep = parse_word(args.members, args.alphabet)
-        if args.n is not None and args.n != len(rep):
-            raise ValueError(f"--n {args.n} disagrees with the length of "
-                             f"{rep!r}")
-        members = census.class_members(rep)
-        if args.format == "json":
-            _print_json({"pnf": rep, "members": members})
-        else:
-            _write_lines(f"{m}\n" for m in members)
-        return 0
-    if args.n is None:
-        raise ValueError("either --n or --members is required")
-    result = census.class_census(args.n)
-    if args.format == "json":
-        doc = {"n": result.n, "classes": result.classes}
-        if args.histogram:
-            doc["histogram"] = {str(k): v
-                                for k, v in result.histogram().items()}
-        _print_json(doc)
-        return 0
-    _write_lines(f"{rep} {size}\n" for rep, size in result.classes.items())
-    if args.histogram:
-        print("size classes")
-        _write_lines(f"{size} {count}\n"
-                     for size, count in result.histogram().items())
-    return 0
+def cmd_census(args) -> int:
+    from . import census  # enumerate, classes and verify-tables print there
+    return getattr(census, "_cmd_" + args.command.replace("-", "_"))(
+        args, _print_json)  # cli runs as __main__: census cannot import it
 
 
 def cmd_region(args) -> int:
@@ -249,20 +178,6 @@ def cmd_region(args) -> int:
         _write(args.csv, reg.csv())
     _write(args.output, svg)
     return 0
-
-
-def cmd_verify_tables(args) -> int:
-    from . import census
-    report = census.verify_tables(max_n=args.max_n, jobs=args.jobs)
-    for cell in report.cells:
-        if cell.ok:
-            print(f"ok   {cell.label}")
-        else:
-            print(f"FAIL {cell.label}: expected {cell.expected}, "
-                  f"got {cell.actual}")
-    good = len(report.cells) - len(report.failures)
-    print(f"{good}/{len(report.cells)} cells match")
-    return 0 if report.all_ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,14 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
     ip = isub.add_parser("pnf")
     ip.add_argument("file")
 
-    p = add("enumerate", cmd_enumerate, "count words per length",
+    p = add("enumerate", cmd_census, "count words per length",
             parents=(), fmt=("text", "csv", "json"))
     p.add_argument("--max-n", type=int, default=16)
     p.add_argument("--what", choices=("pnf", "prenecklace", "both"),
                    default="both")
     p.add_argument("--jobs", type=int, default=1)
 
-    p = add("classes", cmd_classes, "normal-form equivalence classes",
+    p = add("classes", cmd_census, "normal-form equivalence classes",
             fmt=("text", "json"))
     p.add_argument("--n", type=int)
     p.add_argument("--histogram", action="store_true")
@@ -336,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suffix-paths", action="store_true")
     p.add_argument("--unit", type=int, default=16, help="pixels per step")
 
-    p = add("verify-tables", cmd_verify_tables,
+    p = add("verify-tables", cmd_census,
             "recompute the reference tables; exit 1 on any mismatch",
             parents=())
     p.add_argument("--max-n", type=int, default=None)

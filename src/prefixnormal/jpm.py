@@ -15,8 +15,9 @@ from __future__ import annotations
 from operator import gt, sub
 
 from .pnf import PnfPair
-from .profiles import OnesProfile, _trusted, a_count_bounds
-from .words import ParikhVector, Record, prefix_counts, word_from_counts
+from .profiles import OnesProfile, _trusted, a_count_bounds, first_excess
+from .words import (ParikhVector, Record, complement_counts, prefix_counts,
+                    word_from_counts)
 
 INDEX_FORMAT_VERSION = 1
 
@@ -141,11 +142,7 @@ def index_to_json(ix: JumbledIndex) -> str:
 def index_from_json(text: str) -> JumbledIndex:
     """Parse the JSON form back into an index whose two normal forms are
     prefix normal; that some word realizes it is not checked."""
-    return _load_index(text)[0]
-
-
-def _load_index(text: str) -> tuple[JumbledIndex, PnfPair]:
-    import json
+    import json  # only the commands that read or write index files load it
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -171,8 +168,8 @@ def _load_index(text: str) -> tuple[JumbledIndex, PnfPair]:
                          "lists maxA and minA")
     ix = JumbledIndex(n, OnesProfile("max-a", tuple(max_vals)),
                       OnesProfile("min-a", tuple(min_vals)))
-    try:
-        pair = pnf_from_index(ix)
-    except ValueError:  # its message would echo a normal form n long
-        raise ValueError("no word has this index") from None
-    return ix, pair
+    # the normal forms' prefix counts are maxA and k - minA[k]: decided
+    # as PnfPair does, without building either form
+    if first_excess(max_vals) or first_excess(complement_counts(min_vals)):
+        raise ValueError("no word has this index")
+    return ix

@@ -15,10 +15,17 @@ field per window length: 8 bits below n = 128, and 16 bits below 32768
 while the run starts the process slid so fit a ledger.  Other words and
 batches slide in vectorized passes over as many run starts as fit an
 element budget, on a block stored window axis first in a narrow dtype.
+
+Prefix normality (first_excess) is decided without a profile, from the
+pair inequality p[s + k] <= p[s] + p[k] at the 1-run starts s.  Long words
+bound it for a block of lengths at a time and compare exactly only inside
+the blocks whose bound fails: on the normal forms of random texts of 10^4
+symbols, 7 in 10^4 blocks, so their index files are checked packed.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from operator import sub
 from struct import pack, unpack
 
@@ -26,9 +33,13 @@ from .words import Record, complement, complement_counts, prefix_counts
 
 # Packed vs numpy _slide on two rows: 37/55 us at n = 64, 5/1.7 ms at 10^4
 # in few runs, 630/31 for a random 1.6*10^4; first_excess keeps up packed.
-# So 16-bit words go packed while a ~20 ms ledger (numpy's import: ~41)
-# lasts: a compared field 4.4 ns, a 1-run start 256, a slide start 1/512.
-_PACKED_FIELDS, _PACKED_STARTS, _packed_spent = 9 << 19, 512, 0
+# So 16-bit words go packed while a ledger about as long as numpy's import
+# (41 ms in a new process, 35 ms in one) lasts: first_excess runs at 3.1-
+# 3.4 ns a charged field (a field compared or a block bounded, a 1-run
+# start 256) on random normal forms of 300..1.6*10^4 symbols, so 10 * 2^20
+# fields take about 35 ms; a slide start is charged 1/512 of the ledger.
+_PACKED_FIELDS, _PACKED_STARTS, _packed_spent = 10 << 20, 512, 0
+_EXIT_FIELDS = 1 << 16  # how far a row's exact work may pass its block work
 _BLOCK_BUDGET = 1 << 16  # elements _slide gathers per pass
 
 _KINDS = ("max-a", "min-a", "max-b")
@@ -128,38 +139,85 @@ def first_excess(p):
     p[s + k] <= p[s] + p[k] is symmetric in s and k, so a shortest failing
     window starts at t >= k, on an a (else one symbol less fails); slid
     left over each a after an a, it still fails, up to a 1-run start t.
-    Past a C-speed pass per k <= 3, each 1-run start t compares fields
-    k <= min(t, n - t, best - 1) at once, as in _packed_slide: 2^(w-1) +
-    p[k] + p[t] - p[t + k] loses its high bit where the window fails.
-    Words of 16-bit fields do so while the ledger lasts; then they, like
-    longer words, compare _slide with p."""
+    Lengths k <= k0 = 2B + 1, B = isqrt(n) // 8 or 1, take a C-speed pass
+    each.  Then each 1-run start t bounds k <= min(t, n - t, best - 1) a
+    block of lengths [jB, jB + B) at a time: p[t + k] - p[t] - p[k] <=
+    p[t + jB + B - 1] - p[t] - p[jB], all j at once on fields as in
+    _packed_slide (field j of packs[t % B] >> w * (t // B) holds p[t + jB
+    + B - 1], p[n] past n), where 2^(w-1) + p[jB] + p[t] minus that field
+    loses its high bit.  At B = 1 that is the exact test; else the span of
+    the blocks that fail it is compared exactly, from byte slices of p.
+    A row rents if the ledger holds its estimate, 1-run starts times
+    n // 2 // B + 256 fields; a start is charged k // B + 256, an exact
+    span its length + 256.  The row goes to numpy before exact work that
+    would pass its block work by _EXIT_FIELDS, take its charge past its
+    estimate plus _EXIT_FIELDS, or take the ledger past its end; the
+    first two do not apply if the ledger would hold the row at B = 1.  So
+    a balanced word, whose blocks all fail the bound, leaves early.  Rows
+    the ledger does not hold, and words of 32768 symbols or more, compare
+    _slide with p."""
     global _packed_spent
     n = len(p) - 1
+    B = isqrt(n) >> 3 or 1  # so 8-bit rows (n < 128) take B = 1
     if rent := n < 128 or n < 32768 and _packed_spent < _PACKED_FIELDS:
         _, w, v, marks = _packed(p)
-        rent = n < 128 or _PACKED_FIELDS >= (
-            _packed_spent + marks.count(b"\0\1") * (n // 2 + 256))
+        starts = marks.count(b"\0\1")
+        est, worst = starts * (n // 2 // B + 256), starts * (n // 2 + 256)
+        room = _PACKED_FIELDS - _packed_spent - est  # for exact work
+        allow = worst if worst <= room else _EXIT_FIELDS  # worst: at B = 1
+        spare, stop = _packed_spent - allow, _packed_spent + est + allow
+        rent = n < 128 or room >= 0
     if not rent:
-        max_a = _slide(p)[:, 0].tolist()
-        if max_a == p:
-            return 0
-        return next(k for k, m in enumerate(max_a) if m > p[k])  # stops early
+        return _slid_excess(p)
     ones = int.from_bytes(b"\1\0"[:w // 8] * (n + 1), "little")
     top = v | (high := ones << w - 1)  # 2^(w-1) + p[k] in field k
-    for k in range(1, min(n, 3) + 1):  # every window of length k
+    k0 = 2 * B + 1  # 3 at B = 1; k <= k0 covers blocks 0 and 1
+    for k in range(1, min(n, k0) + 1):  # every window of length k
         fit = high >> w * k  # fields 0..n-k; the others overflow
         if (top + p[k] * ones - (v >> w * k)) & fit != fit:
             return k
+    ones &= (1 << w * (n // B + 1)) - 1  # a field per block from here
+    top, packs = v, [v]
+    if B > 1:  # top: p[jB] in field j (then p[n]); packs as above
+        s, pb = p + p[-1:] * (B - 1), v.to_bytes(2 * n + 2, "little")
+        rs = (0, *range(B - 1, 2 * B - 1))
+        top, *packs = [int.from_bytes(pack(f"<{len(q)}H", *q), "little")
+                       for q in (s[r::B] for r in rs)]
+    # 2^(w-1) + p[jB] in field j, and 2B more in blocks 0 and 1, so that
+    # these, decided above, never fail the bound
+    top = (top | ones << w - 1) + 2 * B * (ones & (1 << 2 * w) - 1)
     best, t = n + 1, 0
-    while best > 4 and (t := marks.find(b"\0\1", t + 1)) > 0:  # 4 is final
+    while best > k0 + 1 and (t := marks.find(b"\0\1", t + 1)) > 0:
         k = t if t + t < n else n - t  # min() is slower
         k = k if k < best else best - 1
-        _packed_spent += (n >= 128) * (k + 256)  # 8-bit rows rent free
-        fields = (1 << w * (k + 1)) - 1
-        x = (top & fields) - (v >> w * t & fields) + p[t] * (ones & fields)
+        _packed_spent += (n >= 128) * (k // B + 256)  # 8-bit rows rent free
+        fields = (1 << w * (k // B + 1)) - 1
+        x = ((top & fields) - (packs[t % B] >> w * (t // B) & fields)
+             + p[t] * (ones & fields))
         if miss := (x & high) ^ (high & fields):
-            best = (miss & -miss).bit_length() // w - 1
+            j = (miss & -miss).bit_length() // w - 1
+            if B > 1:  # blocks j.. fail the bound: compare their span
+                lo, hi = j * B, min(miss.bit_length() // w * B, k + 1)
+                c = hi - lo + 256
+                room, spare = room - c, spare + 2 * c
+                if room < 0 or not spare <= _packed_spent + c <= stop:
+                    return _slid_excess(p)
+                _packed_spent += c
+                h = high >> w * (n + 1 - hi + lo)  # fields 0..hi-lo-1
+                miss = h ^ h & ((int.from_bytes(pb[2 * lo:2 * hi], "little")
+                                 | h) + p[t] * (h >> w - 1) - int.from_bytes(
+                                     pb[2 * (t + lo):2 * (t + hi)], "little"))
+                j = lo + (miss & -miss).bit_length() // w - 1 if miss else best
+            best = j
     return best % (n + 1)
+
+
+def _slid_excess(p):
+    """first_excess read off the numpy slide, which closes the ledger."""
+    max_a = _slide(p)[:, 0].tolist()
+    if max_a == p:
+        return 0
+    return next(k for k, m in enumerate(max_a) if m > p[k])  # stops early
 
 
 def _count_dtype(n: int) -> str:  # the narrowest signed dtype for 0..n

@@ -20,7 +20,8 @@ from typing import Iterator
 
 import pytest
 
-from prefixnormal import geometry, is_lyndon, is_prefix_normal, word_path
+from prefixnormal import (build_pnf_a, geometry, is_lyndon, is_prefix_normal,
+                          word_path)
 from prefixnormal.lyndon import _lyndon_prefix_period
 from prefixnormal.pnf import _a_extends
 from prefixnormal.words import prefix_counts, word_from_counts
@@ -147,6 +148,29 @@ def with_prefix_pasted(rng: random.Random, pnf: str) -> str:
                          if pnf[m] == "b"])]
     i = rng.randrange(n // 2, n - len(u))
     return pnf[:i] + u + "a" + pnf[i + len(u) + 1:]
+
+
+def sturmian(n: int) -> str:
+    """The first n symbols of the golden-ratio Sturmian word: an a at i
+    where floor((i + 1)x) > floor(ix).  It is balanced, so the factors of
+    one length hold one of two a-counts."""
+    x = (5 ** 0.5 - 1) / 2
+    return "".join("ab"[int((i + 1) * x) == int(i * x)] for i in range(n))
+
+
+def with_excess_at(rng: random.Random, n: int, k: int) -> str:
+    """A word of n symbols whose shortest factor with more a's than the
+    prefix of its length is k long: the prefix normal form of a random word
+    with its prefix of k - 1 symbols and an a pasted into its second half,
+    the prefix being followed by a b; drawn again until excess_by_scan
+    finds no shorter one."""
+    while True:
+        pnf = build_pnf_a(random_word(rng, n))
+        if pnf[k - 1] == "b":
+            i = rng.randrange(n // 2, n - k)
+            w = pnf[:i] + pnf[:k - 1] + "a" + pnf[i + k:]
+            if excess_by_scan(w)[0] == k:
+                return w
 
 
 def _a_counts(w: str) -> list[int]:

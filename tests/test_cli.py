@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import accumulate
+from operator import le, sub
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefixnormal
-from prefixnormal import census, cli, geometry, profiles
+from prefixnormal import census, cli, geometry, jpm, profiles
 from prefixnormal.census import (CLASS_HISTOGRAM_N8, CLASS_SIZES_N8,
                                  PREFIX_NORMAL_COUNTS, class_members)
 from prefixnormal.cli import main
@@ -378,6 +380,28 @@ def test_impossible_index_is_usage_error(capsys, tmp_path):
             assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", [10 ** 4, 16000])
+def test_long_index_with_a_step_moved_is_rejected(capsys, tmp_path, n):
+    # maxA of a random text with a late 0-step moved into its leading run
+    # of a's: the steps stay 0/1, the totals and min <= max still hold, but
+    # the a-side form now has a factor aaaa after its prefix aaab
+    ix = jpm.build_index(random_word(random.Random(2435 + n), n))
+    max_a, min_a = list(ix.max_a.values), list(ix.min_a.values)
+    steps = list(map(sub, max_a[1:], max_a))
+    late = max(k for k in range(3 * n // 4) if not steps[k])
+    assert steps[:5] == [1] * 5
+    steps[3], steps[late] = 0, 1
+    moved = list(accumulate(steps, initial=0))
+    assert all(map(le, min_a, moved))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"version": 1, "n": n, "maxA": moved,
+                               "minA": min_a}))
+    for argv in (["index", "query", str(bad), "1", "1"],
+                 ["index", "pnf", str(bad)]):
+        assert run(capsys, *argv) == (2, "",
+                                      "error: no word has this index\n")
+
+
 def test_index_profile_error_names_the_first_bad_step(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"version":1,"n":2,"maxA":[0,0,2],"minA":[0,0,0]}')
@@ -488,6 +512,25 @@ def _few_runs_text(n, shift=0):
     return "".join("ab"[i % 2] * m for i, m in enumerate(runs))[:n]
 
 
+def test_census_commands_run_as_main_load_cli_once():
+    # `python -m prefixnormal.cli` runs cli as __main__, so a module that
+    # imported prefixnormal.cli would compile and run it a second time
+    src = str(Path(prefixnormal.__file__).resolve().parents[1])
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(lambda: print(*sys.modules, file=sys.stderr))\n"
+              "sys.argv[1:] = sys.argv[2:]\n"
+              "runpy.run_module('prefixnormal.cli', run_name='__main__')\n")
+    for argv in (["enumerate", "--max-n", "2", "--format", "json"],
+                 ["classes", "--n", "2", "--format", "json"],
+                 ["verify-tables", "--max-n", "1"]):
+        proc = subprocess.run([sys.executable, "-c", script, "-", *argv],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        loaded = set(proc.stderr.split())
+        assert "prefixnormal.census" in loaded, argv
+        assert "prefixnormal.cli" not in loaded, argv
+
+
 def test_words_shorter_than_128_leave_numpy_unloaded():
     word = ("aab" * 43)[:127]
     loaded = _modules_loaded_by([["pnf", word], ["test", word]])
@@ -569,11 +612,40 @@ def test_constant_words_at_the_top_of_8_bit_fields(capsys, tmp_path):
             f"normal\nPNF_a: {pair.pnf_a}\nPNF_b: {pair.pnf_b}\n")
 
 
-def test_test_on_a_long_random_normal_form_loads_numpy():
-    # its run starts would overrun the ledger, so it reads the numpy slide
+def test_test_on_a_long_random_normal_form_leaves_numpy_unloaded():
+    # its blocks of lengths fit the ledger, and few fail the block bound
     word = build_pnf_a(random_word(random.Random(2420), 16000))
     out, loaded = _run_in_fresh_process([["test", word]])
-    assert out == "normal\n" and "numpy" in loaded
+    assert out == "normal\n" and "numpy" not in loaded
+    assert out == _run_in_fresh_process([["test", word]], numpy=True)[0]
+
+
+def test_a_batch_too_costly_for_the_ledger_loads_numpy():
+    # each form's block estimate is about 4.2 million fields: the third
+    # no longer fits, so it and the fourth read the numpy slide
+    rng = random.Random(2436)
+    stdin = "".join(build_pnf_a(random_word(rng, 16000)) + "\n"
+                    for _ in range(4))
+    out, loaded = _run_in_fresh_process([["test", "-"]], stdin)
+    assert out == "normal\n" * 4 and "numpy" in loaded
+    assert out == _run_in_fresh_process([["test", "-"]], stdin, True)[0]
+
+
+def test_index_files_of_long_random_texts_decide_without_numpy(tmp_path):
+    # index build slides numpy as before; index pnf and index query check
+    # both normal forms packed
+    rng = random.Random(2437)
+    for n in (10 ** 4, 16000):
+        ix = str(tmp_path / f"ix{n}.json")
+        loaded = _modules_loaded_by(
+            [["index", "build", random_word(rng, n), "-o", ix]])
+        assert "numpy" in loaded
+        argvs = [["index", "pnf", ix], ["index", "query", ix, "5", "4"]]
+        for argv in argvs:
+            loaded = _modules_loaded_by([argv])
+            assert "prefixnormal.jpm" in loaded and "numpy" not in loaded
+        assert _run_in_fresh_process(argvs)[0] == _run_in_fresh_process(
+            argvs, numpy=True)[0]
 
 
 @pytest.mark.parametrize("ledger", ["fresh", "spent"])

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -9,8 +10,8 @@ from prefixnormal import (ParseError, PnfPair, PrefixNormalTester,
                           prefix_counts, profiles, reverse)
 from _oracles import (brute_is_prefix_normal, brute_normality_witness,
                       check_factor_select_bound, check_prefix_subadditivity,
-                      excess_by_scan, random_word, with_prefix_pasted,
-                      words_up_to)
+                      excess_by_scan, random_word, sturmian,
+                      with_excess_at, with_prefix_pasted, words_up_to)
 from prefixnormal.words import complement_counts
 
 EXAMPLE_WORD = "ababbaabaabbbaaabbab"
@@ -234,6 +235,44 @@ def test_first_excess_on_flipped_normal_forms(monkeypatch, ledger, n):
                 closed = profiles._packed_spent == profiles._PACKED_FIELDS
                 assert closed == (ledger == "spent")
             assert normality_witness(w) == witness
+
+
+@pytest.mark.parametrize("ledger", ["fresh", "spent"])
+@pytest.mark.parametrize("n", [255, 256, 257, 3000, 10 ** 4])
+def test_first_excess_in_blocks_matches_the_scan(monkeypatch, ledger, n):
+    # B = isqrt(n) >> 3 goes from 1 to 2 at n = 256.  Balanced words fail
+    # the block bound everywhere: with B > 1 they go to numpy part way,
+    # unless the ledger would hold them at B = 1
+    rng = random.Random(2432 + n)
+    spent = 0 if ledger == "fresh" else profiles._PACKED_FIELDS
+    pnf = build_pnf_a(random_word(rng, n))
+    late = rng.randrange(3 * n // 4, n)  # a late flip keeps most normal
+    words = [pnf, _flipped(pnf, late), with_prefix_pasted(rng, pnf),
+             "ab" * (n // 2), "ba" * (n // 2), build_pnf_a(sturmian(n)),
+             sturmian(n)]
+    for w in words:
+        monkeypatch.setattr(profiles, "_packed_spent", spent)
+        k, witness = excess_by_scan(w)
+        assert profiles.first_excess(prefix_counts(w)) == k
+        assert profiles.first_excess(complement_counts(prefix_counts(
+            w))) == excess_by_scan(complement(w))[0]
+        monkeypatch.setattr(profiles, "_packed_spent", spent)
+        assert normality_witness(w) == witness
+
+
+@pytest.mark.parametrize("ledger", ["fresh", "spent"])
+@pytest.mark.parametrize("n", [3000, 10 ** 4])
+def test_first_excess_at_the_edges_of_the_blocks(monkeypatch, ledger, n):
+    # lengths up to k0 = 2B + 1 take a C-speed pass each, k0 + 1 is the
+    # first the blocks decide, and [3B, 4B) is one block
+    B = isqrt(n) >> 3
+    k0 = 2 * B + 1
+    rng = random.Random(2433 + n)
+    spent = 0 if ledger == "fresh" else profiles._PACKED_FIELDS
+    for k in (k0, k0 + 1, 3 * B, 4 * B - 1):
+        w = with_excess_at(rng, n, k)
+        monkeypatch.setattr(profiles, "_packed_spent", spent)
+        assert profiles.first_excess(prefix_counts(w)) == k
 
 
 def test_a_32768_symbol_word_reads_the_numpy_slide_and_closes_the_ledger(

@@ -1,6 +1,7 @@
 import io
 import random
 import re
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from prefixnormal.words import complement_counts, prefix_counts
 
 from _oracles import (brute_max_profile, brute_min_a_profile,
                       brute_window_max, random_word, scan_window_max,
-                      words_of_length, words_up_to)
+                      sturmian, words_of_length, words_up_to)
 
 EXAMPLE_WORD = "ababbaabaabbbaaabbab"
 EXAMPLE_FA = [0, 1, 2, 3, 3, 4, 4, 4, 5, 5, 6, 7, 7, 7, 8, 8, 9, 9, 9, 10, 10]
@@ -233,6 +234,65 @@ def test_one_ledger_serves_the_slide_and_first_excess(monkeypatch):
     assert profiles.window_max(rows) == expected
     assert profiles.first_excess(rows[0]) == 0
     assert slides == [301] * 4
+
+
+def _block_estimate(p):
+    """The fields first_excess reserves for the block scan of the row p:
+    its 1-run starts times n // 2 // B + 256."""
+    n = len(p) - 1
+    starts = sum(p[t + 1] - p[t] > p[t] - p[t - 1] for t in range(1, n))
+    return starts * (n // 2 // (isqrt(n) >> 3 or 1) + 256)
+
+
+def test_balanced_rows_go_to_numpy_within_their_estimate(monkeypatch):
+    # Every block of a balanced row fails the bound.  At 10^4 symbols and
+    # more it would not fit the ledger at B = 1, so its exact work may pass
+    # its block work by _EXIT_FIELDS only: it goes to numpy early, having
+    # charged at most its estimate plus _EXIT_FIELDS.
+    handed, real = [], profiles._slide
+    monkeypatch.setattr(profiles, "_slide", lambda q: handed.append(
+        profiles._packed_spent) or real(q))
+    for w in ("ab" * 5000, build_pnf_a(sturmian(10 ** 4)), "ab" * 8000,
+              build_pnf_a(sturmian(16000))):
+        p = prefix_counts(w)
+        for spent in (0, profiles._PACKED_FIELDS // 3):
+            monkeypatch.setattr(profiles, "_packed_spent", spent)
+            handed.clear()
+            assert profiles.first_excess(p) == 0
+            assert len(handed) == 1
+            assert spent < handed[0] <= spent + _block_estimate(p) + (
+                profiles._EXIT_FIELDS)
+            assert handed[0] <= profiles._PACKED_FIELDS
+    # one that fits at B = 1 decides packed, however many blocks fail
+    monkeypatch.setattr(profiles, "_packed_spent", 0)
+    handed.clear()
+    assert profiles.first_excess(prefix_counts("ab" * 1500)) == 0
+    assert handed == [] and profiles._packed_spent < profiles._PACKED_FIELDS
+
+
+def test_first_excess_never_passes_the_ledger(monkeypatch):
+    # a row rents only if its block estimate fits, and its exact work never
+    # takes the ledger past _PACKED_FIELDS; a row handed to numpy has
+    # charged at most its estimate plus _EXIT_FIELDS
+    rng = random.Random(2434)
+    rows = [prefix_counts(build_pnf_a(random_word(rng, n)))
+            for n in (16000, 10 ** 4, 3000, 16000, 16000)]
+    rows[2:2] = [prefix_counts("ab" * 3000), prefix_counts("ab" * 5000)]
+    slides, real = [], profiles._slide
+    monkeypatch.setattr(profiles, "_slide", lambda q: slides.append(
+        profiles._packed_spent) or real(q))
+    for start in range(0, profiles._PACKED_FIELDS, 1 << 20):
+        monkeypatch.setattr(profiles, "_packed_spent", start)
+        slides.clear()
+        for p in rows:
+            spent = profiles._packed_spent
+            assert profiles.first_excess(p) == 0
+            if spent < profiles._PACKED_FIELDS and not slides:
+                assert profiles._packed_spent <= profiles._PACKED_FIELDS
+            elif spent < profiles._PACKED_FIELDS:  # handed to numpy
+                assert slides[0] <= min(profiles._PACKED_FIELDS, spent + (
+                    _block_estimate(p) + profiles._EXIT_FIELDS))
+        assert slides
 
 
 def test_packed_slide_at_the_last_16_bit_length():
