@@ -6,13 +6,16 @@ The cross-check predicates at the end restate prefix normality in other
 terms, and the filter count and Lyndon completion check run the library's
 own predicates over every word.  The depth-first tree walkers at the end
 enumerate both languages one node at a time, independently of the
-level-by-level frontier the library counts with.  The two formatters
-at the very end print the profile table and the region SVG one cell and
-one point at a time, and ``assert_same_text`` compares their output.
+level-by-level frontier the library counts with.  The class scan lists
+one normal-form class from the census codes of all 2^n words, apart
+from the library's pruned search.  The two formatters at the very end
+print the profile table and the region SVG one cell and one point at a
+time, and ``assert_same_text`` compares their output.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 from itertools import product
@@ -20,8 +23,8 @@ from typing import Iterator
 
 import pytest
 
-from prefixnormal import (build_pnf_a, geometry, is_lyndon, is_prefix_normal,
-                          word_path)
+from prefixnormal import (build_pnf_a, census, geometry, is_lyndon,
+                          is_prefix_normal, word_path)
 from prefixnormal.lyndon import _lyndon_prefix_period
 from prefixnormal.pnf import _a_extends
 from prefixnormal.words import prefix_counts, word_from_counts
@@ -296,6 +299,24 @@ def walk_words(kind: str, n: int) -> list[str]:
     """The words of length ``n`` in the ``kind`` tree, in walk order."""
     walk, decode = WALKS[kind]
     return [decode(state) for depth, state in walk("", n) if depth == n]
+
+
+@functools.lru_cache(maxsize=1)
+def _census_codes(n: int):
+    """The packed normal form of each of the 2^n words, in code order."""
+    import numpy as np
+    return np.concatenate([codes for _, codes in census._pnf_codes(n)])
+
+
+def class_members_by_scan(pnf: str) -> list[str]:
+    """The words whose packed normal form is ``pnf``'s, by scanning the
+    class census's codes of all 2^n words (see ``census._pnf_codes``); the
+    codes of the last length asked for are kept."""
+    import numpy as np
+    n, ab = len(pnf), str.maketrans("01", "ab")
+    target = int("0" + pnf.replace("a", "0").replace("b", "1"), 2)
+    return [format(code | 1 << n, "b")[1:].translate(ab)
+            for code in np.flatnonzero(_census_codes(n) == target).tolist()]
 
 
 def profile_table_by_cells(max_a: list[int], max_b: list[int]) -> str:

@@ -16,8 +16,15 @@ from prefixnormal.census import (CLASS_SIZES_N4, CLASS_SIZES_N8,
                                  DEFAULT_COUNT_BOUND, PREFIX_NORMAL_COUNTS)
 from prefixnormal.words import ParseError
 
-from _oracles import (brute_pre_necklaces, count_prefix_normal_by_filter,
+from _oracles import (brute_pre_necklaces, class_members_by_scan,
+                      count_prefix_normal_by_filter, random_word,
                       subtree_counts, walk_words, words_of_length)
+
+# The five largest classes at n = 20, with 596, 492, 420, 370 and 354
+# members: the longest lists `classes --members` can print.
+LARGEST_CLASSES_N20 = ("aaababababababababab", "aaababababababababbb",
+                       "aabababababababababb", "aababababababababbbb",
+                       "aaaababababababababb")
 
 
 def test_count_prefix_normal_examples():
@@ -210,6 +217,29 @@ def test_class_members_across_chunks():
     assert members == [w for w in words_of_length(17)
                        if w.count("a") == rep.count("a")
                        and build_pnf_a(w) == rep]
+
+
+def test_class_members_agree_with_the_census_exhaustively():
+    # every class up to n = 12, in order, as large as the census counts
+    # it; up to n = 9 exactly the words the scan of all 2^n words finds
+    for n in range(13):
+        for rep, size in class_census(n).classes.items():
+            members = class_members(rep)
+            assert len(members) == size and members == sorted(members), rep
+            if n <= 9:
+                assert members == class_members_by_scan(rep)
+
+
+def test_class_members_agree_with_the_scan_on_long_words():
+    rng = random.Random(2323)
+    reps = [build_pnf_a(random_word(rng, n))
+            for n in (17, 18, 19, 20) for _ in range(25)]
+    reps += [*LARGEST_CLASSES_N20, "a" * 20, "b" * 20, "a" * 10 + "b" * 10,
+             "ab" * 10, "a" + "b" * 19, "", "a", "b"]
+    for rep in sorted(reps, key=len):  # the scan keeps one length's codes
+        assert class_members(rep) == class_members_by_scan(rep), rep
+    assert [len(class_members(rep)) for rep in LARGEST_CLASSES_N20] == [
+        596, 492, 420, 370, 354]
 
 
 def test_class_census_validation():

@@ -23,8 +23,8 @@ from prefixnormal.cli import main
 from prefixnormal.geometry import SUFFIX_PATHS_BOUND
 from prefixnormal.pnf import build_pnf_a
 
-from _oracles import (assert_same_text, excess_by_scan, profile_table_by_cells,
-                      random_word, with_prefix_pasted)
+from _oracles import (assert_same_text, class_members_by_scan, excess_by_scan,
+                      profile_table_by_cells, random_word, with_prefix_pasted)
 
 EXAMPLE_WORD = "ababbaabaabbbaaabbab"
 
@@ -552,6 +552,21 @@ def test_long_few_run_words_leave_numpy_unloaded(tmp_path):
     out, loaded = _run_in_fresh_process(argvs, numpy=True)
     assert out == "".join(packed)
     assert [Path(f).read_bytes() for f in (ix, svg, csv)] == files
+
+
+def test_class_members_leave_numpy_unloaded():
+    # an 18-symbol class of the census bench and the largest one at n = 20
+    reps = ("aaaaabbaaaababaabb", "aaababababababababab")
+    out, loaded = _run_in_fresh_process(
+        [["classes", "--members", rep, *fmt]
+         for rep in reps for fmt in ([], ["--format", "json"])])
+    assert "prefixnormal.census" in loaded and "numpy" not in loaded
+    want = ""
+    for rep in reps:
+        members = class_members_by_scan(rep)
+        want += "".join(f"{m}\n" for m in members)
+        want += json.dumps({"pnf": rep, "members": members}) + "\n"
+    assert out == want
 
 
 def test_pre_necklace_counts_leave_numpy_unloaded():
