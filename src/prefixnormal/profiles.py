@@ -11,10 +11,8 @@ and b-counts are a batch of two, a census chunk a batch of 2^14 words.
 Both paths slide windows only from the starts of runs, since a best
 window can always be moved onto a run start or onto a suffix: O(n * rho)
 for a word with rho runs.  A word slides on one Python int per row, a
-field per window length: 8 bits below n = 128, and 16 bits below 32768
-while the run starts the process slid so fit a ledger.  Other words and
-batches slide in vectorized passes over as many run starts as fit an
-element budget, on a block stored window axis first in a narrow dtype.
+field per window length, while _room leaves it packed work; other words
+and batches slide in numpy passes over as many run starts as fit a budget.
 
 Prefix normality (first_excess) is decided without a profile, from the
 pair inequality p[s + k] <= p[s] + p[k] at the 1-run starts s.  Long words
@@ -31,14 +29,7 @@ from struct import pack, unpack
 
 from .words import Record, complement, complement_counts, prefix_counts
 
-# Packed vs numpy _slide on two rows: 37/55 us at n = 64, 5/1.7 ms at 10^4
-# in few runs, 630/31 for a random 1.6*10^4; first_excess keeps up packed.
-# So 16-bit words go packed while a ledger about as long as numpy's import
-# (41 ms in a new process, 35 ms in one) lasts: first_excess runs at 3.1-
-# 3.4 ns a charged field (a field compared or a block bounded, a 1-run
-# start 256) on random normal forms of 300..1.6*10^4 symbols, so 10 * 2^20
-# fields take about 35 ms; a slide start is charged 1/512 of the ledger.
-_PACKED_FIELDS, _PACKED_STARTS, _packed_spent = 10 << 20, 512, 0
+_PACKED_FIELDS, _PACKED_STARTS, _packed_spent = 10 << 20, 512, 0  # _room
 _EXIT_FIELDS = 1 << 16  # how far a row's exact work may pass its block work
 _BLOCK_BUDGET = 1 << 16  # elements _slide gathers per pass
 
@@ -85,6 +76,22 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _room(n, spend=0):
+    """The packed-work fields left to a row of n symbols once it is charged
+    ``spend``: window_max and first_excess route a row by this alone.  8-bit
+    rows (n < 128) see the whole ledger and are never charged; rows of 32768
+    symbols or more get none; 16-bit rows share _PACKED_FIELDS, numpy's import
+    time (35-41 ms) at first_excess's 3.1-3.4 ns a field, a slide start taking
+    1/_PACKED_STARTS (packed vs numpy on two rows: 37/55 us at n = 64, 630/31
+    ms on a random 1.6*10^4).  A charge of it all closes it, at any n."""
+    global _packed_spent
+    width = _count_dtype(n)
+    if width == "int16" or spend == _PACKED_FIELDS:
+        _packed_spent = min(_packed_spent + spend, _PACKED_FIELDS)
+    return (_PACKED_FIELDS if width == "int8" else
+            _PACKED_FIELDS - _packed_spent if width == "int16" else 0)
+
+
 def window_max(rows):
     """out[r][k] = max over j of rows[r][j + k] - rows[r][j], k = 0..n.
 
@@ -93,37 +100,35 @@ def window_max(rows):
     the result is lists of ints) or an (m, n + 1) integer array, slid as
     the one (n + 1, m) block rows.T (the result is an array of its dtype).
     """
-    global _packed_spent
     if not isinstance(rows, list):
         return _slide(rows.T).T.astype(rows.dtype, copy=False)
     n = len(rows[0]) - 1
-    if n < 128 or n < 32768 and _packed_spent < _PACKED_FIELDS:
+    if (room := _room(n)) > 0:
         packs = list(map(_packed, rows))
-        fields = (n >= 128) * sum(m.count(b"\0\1") for *_, m in packs) * (
+        fields = sum(m.count(b"\0\1") for *_, m in packs) * (
             _PACKED_FIELDS // _PACKED_STARTS)
-        if _packed_spent + fields <= _PACKED_FIELDS:
-            _packed_spent += fields
+        if fields <= room:
+            _room(n, fields)
             return list(map(_packed_slide, rows, packs))
     return [_slide(p)[:, 0].tolist() for p in rows]
 
 
 def _packed(p):
-    """p's struct format and field width w, p as one int with p[k] in field
-    k, and its steps after a 0 byte, where b"\0\1" at s marks a 1-run start."""
+    """p's struct format, field width w, p as one int with p[k] in field k,
+    ones (1 in each field) and marks, where b"\0\1" at s is a 1-run start."""
     w = 8 if _count_dtype(len(p) - 1) == "int8" else 16  # by n, as _slide
     fmt = f"<{len(p)}{'B' if w == 8 else 'H'}"  # little-endian
     v = int.from_bytes(pack(fmt, *p), "little")
+    ones = int.from_bytes(b"\1\0"[:w // 8] * len(p), "little")
     steps = v - (v << w & (1 << w * len(p)) - 1)  # never borrows
-    return fmt, w, v, steps.to_bytes(len(p) * w // 8, "little")[::w // 8]
+    return fmt, w, v, ones, steps.to_bytes(len(p) * w // 8, "little")[::w // 8]
 
 
 def _packed_slide(p, packed):
-    """window_max of count list p, n < 32768, packed = _packed(p): on ints
-    with p[k] in field k of w = 8 (n < 128) or 16 bits, out starts as the
+    """window_max of count list p, packed = _packed(p): out starts as the
     suffix counts, then takes per 1-run start s the fieldwise max with D[k]
     = p[s + k] - p[s] (0 past n - s), by the high bit of out + 2^(w-1) - D."""
-    fmt, w, v, marks = packed
-    ones = int.from_bytes(b"\1\0"[:w // 8] * len(p), "little")
+    fmt, w, v, ones, marks = packed
     high, fill = ones << w - 1, (1 << w) - 1
     out = p[-1] * ones - int.from_bytes(pack(fmt, *p[::-1]), "little")
     s = -1
@@ -147,29 +152,23 @@ def first_excess(p):
     + B - 1], p[n] past n), where 2^(w-1) + p[jB] + p[t] minus that field
     loses its high bit.  At B = 1 that is the exact test; else the span of
     the blocks that fail it is compared exactly, from byte slices of p.
-    A row rents if the ledger holds its estimate, 1-run starts times
-    n // 2 // B + 256 fields; a start is charged k // B + 256, an exact
-    span its length + 256.  The row goes to numpy before exact work that
-    would pass its block work by _EXIT_FIELDS, take its charge past its
-    estimate plus _EXIT_FIELDS, or take the ledger past its end; the
-    first two do not apply if the ledger would hold the row at B = 1.  So
-    a balanced word, whose blocks all fail the bound, leaves early.  Rows
-    the ledger does not hold, and words of 32768 symbols or more, compare
-    _slide with p."""
-    global _packed_spent
+    A row goes packed if its _room holds its estimated block work, and is
+    charged as it leaves.  It leaves for numpy before exact work would pass
+    its room, pass its block work by _EXIT_FIELDS or take its cost past its
+    estimate plus _EXIT_FIELDS, these two only if the room would not hold
+    it at B = 1: so a balanced word, whose blocks all fail the bound,
+    leaves early.  Other rows compare _slide with p."""
     n = len(p) - 1
     B = isqrt(n) >> 3 or 1  # so 8-bit rows (n < 128) take B = 1
-    if rent := n < 128 or n < 32768 and _packed_spent < _PACKED_FIELDS:
-        _, w, v, marks = _packed(p)
-        starts = marks.count(b"\0\1")
-        est, worst = starts * (n // 2 // B + 256), starts * (n // 2 + 256)
-        room = _PACKED_FIELDS - _packed_spent - est  # for exact work
-        allow = worst if worst <= room else _EXIT_FIELDS  # worst: at B = 1
-        spare, stop = _packed_spent - allow, _packed_spent + est + allow
-        rent = n < 128 or room >= 0
-    if not rent:
+    if (room := _room(n)) <= 0:
         return _slid_excess(p)
-    ones = int.from_bytes(b"\1\0"[:w // 8] * (n + 1), "little")
+    _, w, v, ones, marks = _packed(p)
+    starts = marks.count(b"\0\1")
+    est, worst = starts * (n // 2 // B + 256), starts * (n // 2 + 256)
+    if (room := room - est) < 0:  # room is now for exact work
+        return _slid_excess(p)
+    allow = worst if worst <= room else _EXIT_FIELDS  # worst: at B = 1
+    spare, stop, used = -allow, est + allow, 0
     top = v | (high := ones << w - 1)  # 2^(w-1) + p[k] in field k
     k0 = 2 * B + 1  # 3 at B = 1; k <= k0 covers blocks 0 and 1
     for k in range(1, min(n, k0) + 1):  # every window of length k
@@ -190,7 +189,7 @@ def first_excess(p):
     while best > k0 + 1 and (t := marks.find(b"\0\1", t + 1)) > 0:
         k = t if t + t < n else n - t  # min() is slower
         k = k if k < best else best - 1
-        _packed_spent += (n >= 128) * (k // B + 256)  # 8-bit rows rent free
+        used += k // B + 256
         fields = (1 << w * (k // B + 1)) - 1
         x = ((top & fields) - (packs[t % B] >> w * (t // B) & fields)
              + p[t] * (ones & fields))
@@ -200,15 +199,17 @@ def first_excess(p):
                 lo, hi = j * B, min(miss.bit_length() // w * B, k + 1)
                 c = hi - lo + 256
                 room, spare = room - c, spare + 2 * c
-                if room < 0 or not spare <= _packed_spent + c <= stop:
+                if room < 0 or not spare <= used + c <= stop:
+                    _room(n, used)
                     return _slid_excess(p)
-                _packed_spent += c
+                used += c
                 h = high >> w * (n + 1 - hi + lo)  # fields 0..hi-lo-1
                 miss = h ^ h & ((int.from_bytes(pb[2 * lo:2 * hi], "little")
                                  | h) + p[t] * (h >> w - 1) - int.from_bytes(
                                      pb[2 * (t + lo):2 * (t + hi)], "little"))
                 j = lo + (miss & -miss).bit_length() // w - 1 if miss else best
             best = j
+    _room(n, used)
     return best % (n + 1)
 
 
@@ -234,9 +235,8 @@ def _slide(q):
     A pass reduces the next max(1, _BLOCK_BUDGET // (L * m)) starts, L
     windows each, read from win[s, k] = q[s + k] over q padded below with
     -1: a padded window's -1 - q[s] >= -1 - n fits and never wins."""
-    global _packed_spent
     import numpy as np
-    _packed_spent = _PACKED_FIELDS  # numpy is loaded: stop renting
+    _room(len(q) - 1, _PACKED_FIELDS)  # numpy is loaded: close the ledger
     q = np.ascontiguousarray(q, _count_dtype(len(q) - 1)).reshape(len(q), -1)
     n1, m = q.shape
     out = q[-1] - q[::-1]

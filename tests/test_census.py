@@ -1,5 +1,3 @@
-import concurrent.futures
-import os
 import random
 
 import pytest
@@ -135,9 +133,9 @@ def test_census_against_per_word_grouping(monkeypatch):
             assert result.classes == {rep: len(ws)
                                       for rep, ws in groups.items()}
             assert result.total_words == 2 ** n
-        if batch == 7:  # 64 chunks at n = 8
-            for rep, members in groups.items():
-                assert class_members(rep) == members
+    # class_members lists each class of n = 8 as that grouping does
+    for rep, members in groups.items():
+        assert class_members(rep) == members
 
 
 def _packed_pnf(n, code):
@@ -151,7 +149,8 @@ def test_pnf_codes_match_packed_normal_forms():
                 for c in codes.tolist()] == [
             _packed_pnf(n, code) for code in range(1 << n)]
     # n = 14 is one chunk whose table is the whole word, n = 15 the first
-    # census whose chunks share a one-symbol head
+    # census whose chunks share a one-symbol head, n = 17 takes eight
+    assert len(census._chunk_ranges(17)) == 8
     rng = random.Random(2207)
     for n in (17, 14, 15):
         chunks = list(census._pnf_codes(n))
@@ -206,10 +205,9 @@ def test_max_class_size_matches_census():
         assert max_class_size(n) == max(class_census(n).classes.values())
 
 
-def test_class_members_across_chunks():
-    # n = 17 takes eight chunks: the words starting with a fill the first
-    # four, those starting with b the last four
-    assert len(census._chunk_ranges(17)) == 8
+def test_class_members_starting_with_either_letter_at_n17():
+    # a class whose members start with a and with b, against every word of
+    # 17 symbols with its letter counts and normal form
     rep = build_pnf_a("bbaababaabbabaaba")
     members = class_members(rep)
     assert {m[0] for m in members} == {"a", "b"}
@@ -332,54 +330,22 @@ def test_verify_tables_flags_tampered_cells(monkeypatch):
     assert failed == {"prefix-normal count n=8", "class size n=4 aabb"}
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Worker counts of the pools started; a stub pool records its size
-    and runs the tasks here, so no worker process starts."""
-    sizes = []
-
-    class StubPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
-    return sizes
-
-
-def test_jobs_clamped_to_cpus_and_tasks(monkeypatch, pool_sizes):
-    # every count and census runs in this process whatever jobs says
-    sizes = pool_sizes
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+def test_jobs_clamped_to_cpus_and_tasks():
+    # every count and census gives the serial result whatever jobs says;
+    # test_census_starts_no_process checks that none starts a process
     assert count_prefix_normal(14, jobs=1000) == 2279
     serial = class_census(18).classes
     assert class_census(18, jobs=1000).classes == serial
-    assert sizes == []                       # 16 chunks
     assert class_census(17, jobs=1000).classes == class_census(17).classes
-    assert sizes == []                       # 8 chunks
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert count_pre_necklaces(14, jobs=8) == 2538
     assert class_census(18, jobs=8).classes == serial
-    assert sizes == []                       # unknown cpu count
 
 
-def test_split_paths_match_serial_in_process(monkeypatch, pool_sizes):
-    # counting runs in this process whatever jobs says
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_split_paths_match_serial_in_process():
     for n in (14, 18):
         assert counts_table(n, jobs=2) == counts_table(n)
     assert count_pre_necklaces(14, jobs=2) == count_pre_necklaces(14)
-    assert pool_sizes == []
     assert verify_tables(max_n=16, jobs=2).all_ok
-    assert pool_sizes == []
 
 
 @pytest.mark.parametrize("jobs", [0, -5])

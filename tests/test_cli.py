@@ -132,7 +132,6 @@ def test_profile_table_matches_the_per_cell_oracle(capsys, monkeypatch,
     # last; the empty word comes as an argument, since a batch skips blank
     # lines
     monkeypatch.setattr(cli, "_PADDED", {})
-    monkeypatch.setattr(profiles, "_packed_spent", profiles._packed_spent)
     rng = random.Random(order)
     lengths = [1, 9, 10, 99, 100, 999, 1000, 10_000]
     if order == "decreasing":
@@ -663,11 +662,10 @@ def test_index_files_of_long_random_texts_decide_without_numpy(tmp_path):
             argvs, numpy=True)[0]
 
 
-@pytest.mark.parametrize("ledger", ["fresh", "spent"])
-def test_test_witness_of_long_normal_forms_changed_late(capsys, monkeypatch,
-                                                        ledger):
+@pytest.mark.parametrize("state", ["fresh", "spent"])
+def test_test_witness_of_long_normal_forms_changed_late(capsys, ledger, state):
     rng = random.Random(2421)
-    spent = 0 if ledger == "fresh" else profiles._PACKED_FIELDS
+    reset = ledger.close if state == "spent" else ledger.set
     words = []
     for n in (127, 128, 2000):
         pnf = build_pnf_a(random_word(rng, n))
@@ -676,11 +674,11 @@ def test_test_witness_of_long_normal_forms_changed_late(capsys, monkeypatch,
                   with_prefix_pasted(rng, pnf)]
     for word in words:
         k, witness = excess_by_scan(word)
-        monkeypatch.setattr(profiles, "_packed_spent", spent)
+        reset()
         assert main(["test", word]) == (1 if k else 0)
         assert capsys.readouterr().out == (
             f"not-normal\nwitness: {witness}\n" if k else "normal\n")
-        monkeypatch.setattr(profiles, "_packed_spent", spent)
+        reset()
         assert main(["test", "--format", "json", word]) == (1 if k else 0)
         assert capsys.readouterr().out == json.dumps(
             {"word": word, "normal": not k, "witness": witness}) + "\n"
@@ -763,6 +761,10 @@ def test_census_starts_no_process():
     env = dict(os.environ, PYTHONPATH=src)
     script = ("import sys, prefixnormal.cli as cli\n"
               "assert cli.main(['classes', '--n', '17', '--jobs', '2']) == 0\n"
+              "assert cli.main(['enumerate', '--max-n', '18', '--jobs', '2'])"
+              " == 0\n"
+              "assert cli.main(['verify-tables', '--max-n', '16', '--jobs',"
+              " '2']) == 0\n"
               "print('concurrent.futures.process' in sys.modules)\n"
               "print('multiprocessing' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], env=env,

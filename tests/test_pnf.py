@@ -217,66 +217,65 @@ def _flipped(w: str, i: int) -> str:
     return w[:i] + "ab"[w[i] == "a"] + w[i + 1:]
 
 
-@pytest.mark.parametrize("ledger", ["fresh", "spent"])
+@pytest.mark.parametrize("state", ["fresh", "spent"])
 @pytest.mark.parametrize("n", [63, 64, 127, 128, 1000, 3000])
-def test_first_excess_on_flipped_normal_forms(monkeypatch, ledger, n):
+def test_first_excess_on_flipped_normal_forms(ledger, state, n):
     # a PNF, whole or with one symbol flipped, makes the run-start pass
     # scan every start; a pasted prefix fails where only that pass looks
     rng = random.Random(2417 + n)
-    spent = 0 if ledger == "fresh" else profiles._PACKED_FIELDS
+    reset = ledger.close if state == "spent" else ledger.set
     for _ in range(3):
         pnf = build_pnf_a(random_word(rng, n))
         for w in (pnf, *(_flipped(pnf, rng.randrange(n)) for _ in range(3)),
                   with_prefix_pasted(rng, pnf)):
-            monkeypatch.setattr(profiles, "_packed_spent", spent)
+            reset()
             k, witness = excess_by_scan(w)
             assert profiles.first_excess(prefix_counts(w)) == k
             if n >= 128:  # the numpy fallback closes the ledger
-                closed = profiles._packed_spent == profiles._PACKED_FIELDS
-                assert closed == (ledger == "spent")
+                assert ledger.closed == (state == "spent")
             assert normality_witness(w) == witness
 
 
-@pytest.mark.parametrize("ledger", ["fresh", "spent"])
+@pytest.mark.parametrize("state", ["fresh", "spent"])
 @pytest.mark.parametrize("n", [255, 256, 257, 3000, 10 ** 4])
-def test_first_excess_in_blocks_matches_the_scan(monkeypatch, ledger, n):
+def test_first_excess_in_blocks_matches_the_scan(ledger, state, n):
     # B = isqrt(n) >> 3 goes from 1 to 2 at n = 256.  Balanced words fail
     # the block bound everywhere: with B > 1 they go to numpy part way,
     # unless the ledger would hold them at B = 1
     rng = random.Random(2432 + n)
-    spent = 0 if ledger == "fresh" else profiles._PACKED_FIELDS
+    reset = ledger.close if state == "spent" else ledger.set
     pnf = build_pnf_a(random_word(rng, n))
     late = rng.randrange(3 * n // 4, n)  # a late flip keeps most normal
     words = [pnf, _flipped(pnf, late), with_prefix_pasted(rng, pnf),
              "ab" * (n // 2), "ba" * (n // 2), build_pnf_a(sturmian(n)),
              sturmian(n)]
     for w in words:
-        monkeypatch.setattr(profiles, "_packed_spent", spent)
+        reset()
         k, witness = excess_by_scan(w)
         assert profiles.first_excess(prefix_counts(w)) == k
         assert profiles.first_excess(complement_counts(prefix_counts(
             w))) == excess_by_scan(complement(w))[0]
-        monkeypatch.setattr(profiles, "_packed_spent", spent)
+        reset()
         assert normality_witness(w) == witness
 
 
-@pytest.mark.parametrize("ledger", ["fresh", "spent"])
+@pytest.mark.parametrize("state", ["fresh", "spent"])
 @pytest.mark.parametrize("n", [3000, 10 ** 4])
-def test_first_excess_at_the_edges_of_the_blocks(monkeypatch, ledger, n):
+def test_first_excess_at_the_edges_of_the_blocks(ledger, state, n):
     # lengths up to k0 = 2B + 1 take a C-speed pass each, k0 + 1 is the
     # first the blocks decide, and [3B, 4B) is one block
     B = isqrt(n) >> 3
     k0 = 2 * B + 1
     rng = random.Random(2433 + n)
-    spent = 0 if ledger == "fresh" else profiles._PACKED_FIELDS
+    reset = ledger.close if state == "spent" else ledger.set
     for k in (k0, k0 + 1, 3 * B, 4 * B - 1):
         w = with_excess_at(rng, n, k)
-        monkeypatch.setattr(profiles, "_packed_spent", spent)
+        reset()
         assert profiles.first_excess(prefix_counts(w)) == k
 
 
 def test_a_32768_symbol_word_reads_the_numpy_slide_and_closes_the_ledger(
-        monkeypatch):
+        monkeypatch, ledger):
     # numpy is loaded then, so a later 16-bit word reads the slide too
     word = _flipped(("a" * 300 + "b" * 200) * 66, 32400)[:32768]
     k, _ = excess_by_scan(word)
@@ -289,7 +288,7 @@ def test_a_32768_symbol_word_reads_the_numpy_slide_and_closes_the_ledger(
         return slide(q)
 
     monkeypatch.setattr(profiles, "_slide", counted)
-    monkeypatch.setattr(profiles, "_packed_spent", 0)
+    ledger.set()  # build_pnf_a charged it
     assert k > 0
     assert profiles.first_excess(prefix_counts(word)) == k
     assert profiles.first_excess(prefix_counts(pnf)) == 0
@@ -297,10 +296,9 @@ def test_a_32768_symbol_word_reads_the_numpy_slide_and_closes_the_ledger(
 
 
 @pytest.mark.parametrize("n", [124, 125, 126, 127, 128, 32765, 32766, 32767])
-def test_first_excess_of_near_constant_words_at_the_field_top(monkeypatch, n):
+def test_first_excess_of_near_constant_words_at_the_field_top(ledger, n):
     # Fields past n - k of the k <= 3 pass hold 2^(w-1) + p[j] + p[k],
     # which overflows once p[j] + p[k] reaches 2^(w-1); they must not count
-    monkeypatch.setattr(profiles, "_packed_spent", 0)
     sides = {"a" * n: (0, 0), "b" * n: (0, 0),
              "a" * (n - 1) + "b": (0, 1), "b" + "a" * (n - 1): (1, 0)}
     for w, (a_side, b_side) in sides.items():
@@ -311,7 +309,7 @@ def test_first_excess_of_near_constant_words_at_the_field_top(monkeypatch, n):
         assert is_prefix_normal(w) == (not a_side)
         pair = pnf_pair(w)
         assert PnfPair(pair.pnf_a, pair.pnf_b) == pair
-    assert profiles._packed_spent < profiles._PACKED_FIELDS  # all packed
+    assert ledger.balance < profiles._PACKED_FIELDS  # all packed
 
 
 def test_pnf_pair_rejects_a_b_side_failure_alone():

@@ -1,7 +1,12 @@
 import io
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,7 +188,8 @@ def test_packed_slide_on_16_bit_fields(w):
     assert list(map(profiles._packed_slide, rows, packed)) == expected
 
 
-def test_16_bit_words_slide_packed_while_the_budget_lasts(monkeypatch):
+def test_16_bit_words_slide_packed_while_the_budget_lasts(monkeypatch,
+                                                         ledger):
     # An 8-bit word (n < 128) always slides packed.  A 16-bit word slides
     # packed while the run starts slid so, its own included, stay within
     # _PACKED_STARTS, numpy loaded or not, and takes _slide after that.
@@ -192,7 +198,6 @@ def test_16_bit_words_slide_packed_while_the_budget_lasts(monkeypatch):
         real = getattr(profiles, name)
         monkeypatch.setattr(profiles, name, lambda *args, real=real,
                             name=name: paths.append(name) or real(*args))
-    monkeypatch.setattr(profiles, "_packed_spent", 0)
     rng, spent, seen = random.Random(2412), 0, set()
     for i in range(60):
         n = (127, 128)[i] if i < 2 else rng.randrange(128, 256)
@@ -207,56 +212,138 @@ def test_16_bit_words_slide_packed_while_the_budget_lasts(monkeypatch):
     assert seen == {(False, "_packed_slide"), (True, "_packed_slide"),
                     (True, "_slide")}
     # a random word has more run starts than the whole budget
-    monkeypatch.setattr(profiles, "_packed_spent", 0)
+    ledger.set()
     rows, paths[:] = _rows(random_word(rng, 2000), True), []
     assert profiles.window_max(rows) == scan_window_max(rows)
     assert paths == ["_slide", "_slide"]
 
 
-def test_one_ledger_serves_the_slide_and_first_excess(monkeypatch):
+def test_one_ledger_serves_the_slide_and_first_excess(monkeypatch, ledger):
     # The slide's run starts and first_excess's fields draw on one ledger,
     # and the first numpy slide, from any caller, closes it for both.
     w = build_pnf_a(random_word(random.Random(2422), 300))
     slides, real = [], profiles._slide
     monkeypatch.setattr(profiles, "_slide",
                         lambda q: slides.append(len(q)) or real(q))
-    monkeypatch.setattr(profiles, "_packed_spent", 0)
+    ledger.set()  # build_pnf_a charged it
     rows, starts = _rows(w, True), len(re.findall("a+|b+", w))
     expected = scan_window_max(rows)
     assert profiles.window_max(rows) == expected
     slid = starts * (profiles._PACKED_FIELDS // profiles._PACKED_STARTS)
-    assert profiles._packed_spent == slid
+    assert ledger.balance == slid
     assert profiles.first_excess(rows[0]) == 0
-    assert slid < profiles._packed_spent < profiles._PACKED_FIELDS
+    assert slid < ledger.balance < profiles._PACKED_FIELDS
     assert slides == []
     assert profiles.window_max(np.array(rows)).tolist() == expected
-    assert profiles._packed_spent == profiles._PACKED_FIELDS
+    assert ledger.closed
     assert profiles.window_max(rows) == expected
     assert profiles.first_excess(rows[0]) == 0
     assert slides == [301] * 4
 
 
-def _block_estimate(p):
+_ROUTE_SCRIPT = """
+import json, sys
+from prefixnormal import profiles
+from prefixnormal.words import complement_counts, prefix_counts
+slide, slid = profiles._slide, []
+def counted(q):
+    slid.append(profiles._packed_spent)
+    return slide(q)
+profiles._slide = counted
+for name, w in json.load(sys.stdin):
+    p, slid[:] = prefix_counts(w), []
+    out = (profiles.window_max([p, complement_counts(p)])
+           if name == "window_max" else profiles.first_excess(p))
+    print(json.dumps([out, slid, profiles._packed_spent]))
+"""
+
+
+def _routes_in_a_new_process(calls):
+    """[result, ledger balance at each numpy slide, balance after] of each
+    (kernel name, word) call, run in order in one new process."""
+    src = str(Path(profiles.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _ROUTE_SCRIPT],
+                          input=json.dumps(calls), capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def _long_runs_word(rng, n):
+    runs = []
+    while sum(map(len, runs)) < n:
+        runs.append("ab"[len(runs) % 2] * rng.randint(1, n // 8))
+    return "".join(runs)[:n]
+
+
+def test_kernel_routes_and_ledger_balances_are_pinned():
+    # A characterisation of the route rule: two fixed sequences of rows,
+    # each from the ledger of a new process, through window_max (both rows
+    # of a word) and first_excess (its a-row).  Each call pins its result,
+    # the balance every numpy slide starts from (none: the packed route)
+    # and the balance after it.  A 16-bit row that does not fit and a
+    # balanced row handed to numpy part way close the ledger; 8-bit rows
+    # stay packed on a closed one, and 32768-symbol rows take numpy.
+    rng, pnf = random.Random(2441), lambda n: build_pnf_a(random_word(rng, n))
+    shut, three_runs = profiles._PACKED_FIELDS, "a" * 12000 + "b" * 9000 + (
+        "a" * 11768)
+    sequences = [[
+        ("window_max", random_word(rng, 100), None, [], 0),
+        ("first_excess", pnf(127), 0, [], 0),
+        ("window_max", _long_runs_word(rng, 128), None, [], 307200),
+        ("first_excess", pnf(128), 0, [], 317891),
+        ("window_max", _long_runs_word(rng, 16000), None, [], 625091),
+        ("first_excess", pnf(3000), 0, [], 1003031),
+        ("first_excess", random_word(rng, 16000), 3, [], 1003031),
+        ("first_excess", pnf(16000), 0, [], 4034432),
+        ("window_max", random_word(rng, 300), None, [], 7372672),
+        ("window_max", random_word(rng, 1000), None, [7372672, shut], shut),
+        ("first_excess", pnf(100), 0, [], shut),
+        ("first_excess", pnf(300), 0, [shut], shut),
+    ], [
+        ("first_excess", "ab" * 5000, 0, [224051], shut),
+        ("window_max", _long_runs_word(rng, 1000), None, [shut, shut], shut),
+        ("window_max", random_word(rng, 120), None, [], shut),
+        ("first_excess", three_runs, 0, [shut], shut),
+        ("window_max", three_runs, None, [shut, shut], shut),
+    ]]
+    for calls in sequences:
+        got = _routes_in_a_new_process([call[:2] for call in calls])
+        assert len(got) == len(calls)
+        for (name, w, excess, slid, balance), (out, *route) in zip(calls, got):
+            assert route == [slid, balance], (name, len(w))
+            if name == "first_excess":
+                assert out == excess, len(w)
+            elif w == three_runs:
+                max_a, min_a = _closed_form_bounds(12000, 9000, 11768)
+                assert out == [max_a, complement_counts(min_a)]
+            else:
+                assert out == scan_window_max(_rows(w, True)), len(w)
+
+
+def _block_estimate(p, B=None):
     """The fields first_excess reserves for the block scan of the row p:
-    its 1-run starts times n // 2 // B + 256."""
+    its 1-run starts times n // 2 // B + 256, at its own B by default."""
     n = len(p) - 1
-    starts = sum(p[t + 1] - p[t] > p[t] - p[t - 1] for t in range(1, n))
-    return starts * (n // 2 // (isqrt(n) >> 3 or 1) + 256)
+    starts = sum(p[t + 1] - p[t] > (t and p[t] - p[t - 1]) for t in range(n))
+    return starts * (n // 2 // (B or isqrt(n) >> 3 or 1) + 256)
 
 
-def test_balanced_rows_go_to_numpy_within_their_estimate(monkeypatch):
+def test_balanced_rows_go_to_numpy_within_their_estimate(monkeypatch,
+                                                         ledger):
     # Every block of a balanced row fails the bound.  At 10^4 symbols and
     # more it would not fit the ledger at B = 1, so its exact work may pass
     # its block work by _EXIT_FIELDS only: it goes to numpy early, having
     # charged at most its estimate plus _EXIT_FIELDS.
     handed, real = [], profiles._slide
     monkeypatch.setattr(profiles, "_slide", lambda q: handed.append(
-        profiles._packed_spent) or real(q))
+        ledger.balance) or real(q))
     for w in ("ab" * 5000, build_pnf_a(sturmian(10 ** 4)), "ab" * 8000,
               build_pnf_a(sturmian(16000))):
         p = prefix_counts(w)
         for spent in (0, profiles._PACKED_FIELDS // 3):
-            monkeypatch.setattr(profiles, "_packed_spent", spent)
+            ledger.set(spent)
             handed.clear()
             assert profiles.first_excess(p) == 0
             assert len(handed) == 1
@@ -264,13 +351,13 @@ def test_balanced_rows_go_to_numpy_within_their_estimate(monkeypatch):
                 profiles._EXIT_FIELDS)
             assert handed[0] <= profiles._PACKED_FIELDS
     # one that fits at B = 1 decides packed, however many blocks fail
-    monkeypatch.setattr(profiles, "_packed_spent", 0)
+    ledger.set()
     handed.clear()
     assert profiles.first_excess(prefix_counts("ab" * 1500)) == 0
-    assert handed == [] and profiles._packed_spent < profiles._PACKED_FIELDS
+    assert handed == [] and ledger.balance < profiles._PACKED_FIELDS
 
 
-def test_first_excess_never_passes_the_ledger(monkeypatch):
+def test_first_excess_never_passes_the_ledger(monkeypatch, ledger):
     # a row rents only if its block estimate fits, and its exact work never
     # takes the ledger past _PACKED_FIELDS; a row handed to numpy has
     # charged at most its estimate plus _EXIT_FIELDS
@@ -280,19 +367,48 @@ def test_first_excess_never_passes_the_ledger(monkeypatch):
     rows[2:2] = [prefix_counts("ab" * 3000), prefix_counts("ab" * 5000)]
     slides, real = [], profiles._slide
     monkeypatch.setattr(profiles, "_slide", lambda q: slides.append(
-        profiles._packed_spent) or real(q))
+        ledger.balance) or real(q))
     for start in range(0, profiles._PACKED_FIELDS, 1 << 20):
-        monkeypatch.setattr(profiles, "_packed_spent", start)
+        ledger.set(start)
         slides.clear()
         for p in rows:
-            spent = profiles._packed_spent
+            spent = ledger.balance
             assert profiles.first_excess(p) == 0
             if spent < profiles._PACKED_FIELDS and not slides:
-                assert profiles._packed_spent <= profiles._PACKED_FIELDS
+                assert ledger.balance <= profiles._PACKED_FIELDS
             elif spent < profiles._PACKED_FIELDS:  # handed to numpy
                 assert slides[0] <= min(profiles._PACKED_FIELDS, spent + (
                     _block_estimate(p) + profiles._EXIT_FIELDS))
         assert slides
+
+
+def test_rows_rent_exactly_what_the_room_holds(monkeypatch, ledger):
+    # A row goes packed while the room left holds its block estimate (at
+    # n < 256, B = 1: no exact work), and a balanced row of B > 1 decides
+    # packed while the room would also hold it at B = 1; a field less
+    # sends either to numpy.  A row with no 1-run start costs nothing: it
+    # goes packed while a field is left, to numpy once the ledger is
+    # closed, and at 32768 symbols however much is left.
+    slides, real = [], profiles._slide
+    monkeypatch.setattr(profiles, "_slide",
+                        lambda q: slides.append(len(q)) or real(q))
+    fields = profiles._PACKED_FIELDS
+    normal = prefix_counts(build_pnf_a(random_word(random.Random(2442), 200)))
+    balanced = prefix_counts("ab" * 1500)
+    for p, room in ((normal, _block_estimate(normal)), (balanced, (
+            _block_estimate(balanced) + _block_estimate(balanced, 1)))):
+        for less, route in ((0, []), (1, [len(p)])):
+            ledger.set(fields - room + less)
+            slides.clear()
+            assert profiles.first_excess(p) == 0
+            assert slides == route
+    for n, room in ((200, 1), (200, 0), (32768, fields)):
+        p = prefix_counts("b" * n)
+        ledger.set(fields - room)
+        slides.clear()
+        assert profiles.first_excess(p) == 0
+        assert profiles.window_max([p]) == [[0] * (n + 1)]
+        assert slides == ([] if room and n < 32768 else [n + 1] * 2)
 
 
 def test_packed_slide_at_the_last_16_bit_length():
