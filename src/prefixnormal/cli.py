@@ -13,8 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .words import (ParseError, complement_counts, parse_word,
-                    word_from_counts)
+from .words import ParseError, complement_counts, parse_word
 
 
 def _each_word(args, handle) -> int:
@@ -147,8 +146,8 @@ def cmd_index(args) -> int:
         ix = jpm.index_from_json(fh.read())
     if args.index_cmd == "query":
         return _report_query(jpm.query(ix, (args.x, args.y)))
-    print(f"PNF_a: {word_from_counts(ix.max_a.values)}")  # checked above
-    print(f"PNF_b: {word_from_counts(ix.min_a.values)}")
+    pair = jpm.pnf_from_index(ix)
+    print(f"PNF_a: {pair.pnf_a}\nPNF_b: {pair.pnf_b}")
     return 0
 
 

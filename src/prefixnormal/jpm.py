@@ -27,7 +27,9 @@ DEFAULT_ORACLE_BOUND = 1000
 class JumbledIndex(Record):
     """Constant-time occurrence index: the (max-a, min-a) profile pair.
 
-    Immutable after construction; concurrent queries are plain array reads.
+    Checks the kinds, the lengths, that the totals make a word of length n,
+    min_a <= max_a and that both normal forms are prefix normal; not that
+    some word realizes it.  Immutable; queries are plain array reads.
     """
 
     n: int
@@ -49,6 +51,10 @@ class JumbledIndex(Record):
                      if self.min_a[k] > self.max_a[k])
             raise ValueError(f"min_a[{k}] = {self.min_a[k]} exceeds "
                              f"max_a[{k}] = {self.max_a[k]}")
+        # the normal forms' prefix counts are max_a and k - min_a[k]
+        if (first_excess(self.max_a.values)
+                or first_excess(complement_counts(self.min_a.values))):
+            raise ValueError("no word has this index")
 
 
 def build_index(w: str) -> JumbledIndex:
@@ -93,11 +99,11 @@ def pnf_from_index(ix: JumbledIndex) -> PnfPair:
 
     The a-side form puts an a at every step of max_a; the b-side form puts
     a b at every step of the b-count profile k - min_a[k].  Exact inverse
-    of index_from_pnf.  The pair is checked, as an index may come from a
-    file.
+    of index_from_pnf.  The pair is not checked again: JumbledIndex has
+    decided both forms.
     """
-    return PnfPair(word_from_counts(ix.max_a.values),
-                   word_from_counts(ix.min_a.values))
+    return _trusted(PnfPair, pnf_a=word_from_counts(ix.max_a.values),
+                    pnf_b=word_from_counts(ix.min_a.values))
 
 
 def parikh_set_equal(w: str, w2: str) -> bool:
@@ -140,8 +146,8 @@ def index_to_json(ix: JumbledIndex) -> str:
 
 
 def index_from_json(text: str) -> JumbledIndex:
-    """Parse the JSON form back into an index whose two normal forms are
-    prefix normal; that some word realizes it is not checked."""
+    """Parse the JSON form back into an index: this checks the document and
+    its field types, and JumbledIndex checks the index."""
     import json  # only the commands that read or write index files load it
     try:
         doc = json.loads(text)
@@ -166,10 +172,5 @@ def index_from_json(text: str) -> JumbledIndex:
             and all(type(v) is int for v in max_vals + min_vals)):
         raise ValueError("index fields must be an integer n and integer "
                          "lists maxA and minA")
-    ix = JumbledIndex(n, OnesProfile("max-a", tuple(max_vals)),
-                      OnesProfile("min-a", tuple(min_vals)))
-    # the normal forms' prefix counts are maxA and k - minA[k]: decided
-    # as PnfPair does, without building either form
-    if first_excess(max_vals) or first_excess(complement_counts(min_vals)):
-        raise ValueError("no word has this index")
-    return ix
+    return JumbledIndex(n, OnesProfile("max-a", tuple(max_vals)),
+                        OnesProfile("min-a", tuple(min_vals)))

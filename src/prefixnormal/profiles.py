@@ -69,8 +69,8 @@ class OnesProfile(Record):
 
 
 def _trusted(cls, **fields):
-    """A ``cls`` holding ``fields``, its checks skipped: only for values
-    made from one kernel call on a word, which are valid by construction."""
+    """A ``cls`` holding ``fields``, its checks skipped: only for values valid
+    by construction, from one kernel call on a word or a checked index."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -214,11 +214,10 @@ def first_excess(p):
 
 
 def _slid_excess(p):
-    """first_excess read off the numpy slide, which closes the ledger."""
-    max_a = _slide(p)[:, 0].tolist()
-    if max_a == p:
-        return 0
-    return next(k for k, m in enumerate(max_a) if m > p[k])  # stops early
+    """first_excess read off the numpy slide, which closes the ledger: the
+    first k whose max exceeds p[k] (argmax of no excess is 0), whatever
+    sequence type p is."""
+    return int((_slide(p)[:, 0] > p).argmax())
 
 
 def _count_dtype(n: int) -> str:  # the narrowest signed dtype for 0..n

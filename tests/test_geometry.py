@@ -55,6 +55,10 @@ def test_region_holds_one_height_in_the_last_column():
     for upper, lower in (((0, 1), (0, -1)), ((0, 1, 2), (0, 1, 0))):
         with pytest.raises(ValueError):
             RegionProfile(upper, lower)
+    # one point in every column, yet no word draws the path b, a: its
+    # normal forms would be "ba" on both sides
+    with pytest.raises(ValueError, match="no word has this index"):
+        RegionProfile((0, -1, 0), (0, -1, 0))
 
 
 def test_membership_matches_queries():

@@ -51,6 +51,16 @@ def test_index_validation():
     with pytest.raises(ValueError):
         JumbledIndex(3, OnesProfile("max-a", (0, 1, 1)),
                      OnesProfile("min-a", (0, 0, 0)))
+    ab_max, ab_min = (0, 1, 1), (0, 0, 1)  # the profiles of "ab"
+    for max_a, min_a in ((ab_max + (1,), ab_min), (ab_max, ab_min + (1,))):
+        with pytest.raises(ValueError, match="lengths disagree"):
+            JumbledIndex(2, OnesProfile("max-a", max_a),
+                         OnesProfile("min-a", min_a))
+    # kinds, lengths, totals and order all pass, yet the normal forms,
+    # "ba" on both sides, are not prefix normal
+    with pytest.raises(ValueError, match="no word has this index"):
+        JumbledIndex(2, OnesProfile("max-a", (0, 0, 1)),
+                     OnesProfile("min-a", (0, 0, 1)))
 
 
 def test_index_with_one_profile_of_the_wrong_kind_is_rejected():
@@ -80,6 +90,11 @@ def test_index_from_pnf_examples():
     assert ix == build_index(EXAMPLE_WORD)
     with pytest.raises(ValueError):
         index_from_pnf(PnfPair("aaaa", "bbbb"))
+    # each side is prefix normal and the totals agree, but min-a passes
+    # max-a at k = 3: only the order check rejects this pair
+    with pytest.raises(ValueError,
+                       match=r"min_a\[3\] = 2 exceeds max_a\[3\] = 1"):
+        index_from_pnf(PnfPair("abba", "baab"))
     ix = index_from_pnf(PnfPair("ab", "ba"))
     assert ix.max_a.values == (0, 1, 1)
     assert ix.min_a.values == (0, 0, 1)

@@ -295,6 +295,28 @@ def test_a_32768_symbol_word_reads_the_numpy_slide_and_closes_the_ledger(
     assert slides == [32769, 301]
 
 
+def test_first_excess_reads_a_tuple_as_it_reads_a_list(monkeypatch, ledger):
+    # JumbledIndex decides the tuples its profiles hold.  A 16-bit row goes
+    # packed on a fresh ledger and to numpy on a closed one; a row of 32768
+    # symbols or more always goes to numpy.  Either way a tuple gives the
+    # list's answer, prefix normal (0) or not.
+    slides, slide = [], profiles._slide
+    monkeypatch.setattr(profiles, "_slide",
+                        lambda q: slides.append(len(q)) or slide(q))
+    late = "a" * 100 + "b" + "a" * 101  # first excess at k = 101
+    for b_run, numpy_route in ((1500, False), (32700, True)):
+        rows = {0: prefix_counts("a" * b_run + "b" * b_run),
+                101: prefix_counts(late + "b" * b_run)}
+        for reset in (ledger.set, ledger.close):
+            numpy = numpy_route or reset == ledger.close
+            for k, p in rows.items():
+                for row in (p, tuple(p)):
+                    reset()
+                    slides.clear()
+                    assert profiles.first_excess(row) == k, (b_run, k)
+                    assert slides == ([len(p)] if numpy else [])
+
+
 @pytest.mark.parametrize("n", [124, 125, 126, 127, 128, 32765, 32766, 32767])
 def test_first_excess_of_near_constant_words_at_the_field_top(ledger, n):
     # Fields past n - k of the k <= 3 pass hold 2^(w-1) + p[j] + p[k],

@@ -14,10 +14,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prefixnormal import (OnesProfile, PnfPair, build_index, build_pnf_a,
-                          census, class_census, cli, geometry, is_prefix_normal,
-                          jpm, max_a_profile, max_b_profile, min_a_profile,
-                          normality_witness, pnf, pnf_from_index, pnf_pair,
-                          profiles, region, region_csv, reverse)
+                          census, class_census, cli, geometry, index_from_pnf,
+                          is_prefix_normal, jpm, max_a_profile, max_b_profile,
+                          min_a_profile, normality_witness, pnf,
+                          pnf_from_index, pnf_pair, profiles, region,
+                          region_csv, reverse)
 
 from prefixnormal.words import complement_counts, prefix_counts
 
@@ -549,8 +550,8 @@ def test_trusted_builds_pass_the_public_checks():
             ix.n, OnesProfile(ix.max_a.kind, ix.max_a.values),
             OnesProfile(ix.min_a.kind, ix.min_a.values))
         assert rebuilt == ix
-        pair = pnf_pair(w)
-        assert PnfPair(pair.pnf_a, pair.pnf_b) == pair
+        for pair in (pnf_pair(w), pnf_from_index(ix)):
+            assert PnfPair(pair.pnf_a, pair.pnf_b) == pair
         reg = region(w)
         assert geometry.RegionProfile(reg.upper, reg.lower) == reg
 
@@ -582,15 +583,16 @@ def test_one_kernel_call_per_word_and_per_chunk(monkeypatch, capsys,
         fn(*args)
         return len(calls), len(sides)
 
-    decided_sides = {PnfPair: 2, pnf_from_index: 2, normality_witness: 1,
-                     is_prefix_normal: 1}
+    decided_sides = {PnfPair: 2, pnf_from_index: 0, index_from_pnf: 2,
+                     normality_witness: 1, is_prefix_normal: 1}
     long_word = random_word(random.Random(2205), 300)
     for w in (EXAMPLE_WORD, long_word, build_pnf_a(long_word)):
         pair = pnf_pair(w)
         ix = build_index(w)
         for fn, args in ((pnf_pair, (w,)), (build_index, (w,)),
                          (PnfPair, (pair.pnf_a, pair.pnf_b)),
-                         (pnf_from_index, (ix,)), (region, (w,)),
+                         (pnf_from_index, (ix,)), (index_from_pnf, (pair,)),
+                         (region, (w,)),
                          (region_csv, (w,)), (normality_witness, (w,)),
                          (is_prefix_normal, (w,))):
             expected = ((0, decided_sides[fn]) if fn in decided_sides
