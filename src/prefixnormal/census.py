@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from itertools import islice
 from operator import gt
-from typing import Iterator
 
 from .pnf import _a_extends, is_prefix_normal
 from .profiles import _trusted, window_max

@@ -12,10 +12,11 @@ Parikh-vector sets exactly when both their normal forms coincide.
 
 from __future__ import annotations
 
-from operator import gt, sub
+from operator import sub
 
 from .pnf import PnfPair
-from .profiles import OnesProfile, _trusted, a_count_bounds, first_excess
+from .profiles import (OnesProfile, _check_bounds, _trusted, a_count_bounds,
+                       first_excess)
 from .words import (ParikhVector, Record, complement_counts, prefix_counts,
                     word_from_counts)
 
@@ -41,16 +42,7 @@ class JumbledIndex(Record):
             raise ValueError("index needs a max-a and a min-a profile")
         if self.max_a.n != self.n or self.min_a.n != self.n:
             raise ValueError("profile lengths disagree with text length")
-        a_total, b_total = self.max_a[self.n], self.n - self.min_a[self.n]
-        if a_total + b_total != self.n:  # one window of length n
-            raise ValueError(f"inconsistent index: {a_total} a's plus "
-                             f"{b_total} b's cannot make a word of length "
-                             f"{self.n}")
-        if any(map(gt, self.min_a.values, self.max_a.values)):  # C speed
-            k = next(k for k in range(self.n + 1)
-                     if self.min_a[k] > self.max_a[k])
-            raise ValueError(f"min_a[{k}] = {self.min_a[k]} exceeds "
-                             f"max_a[{k}] = {self.max_a[k]}")
+        _check_bounds(self.max_a.values, self.min_a.values)
         # the normal forms' prefix counts are max_a and k - min_a[k]
         if (first_excess(self.max_a.values)
                 or first_excess(complement_counts(self.min_a.values))):
@@ -59,8 +51,11 @@ class JumbledIndex(Record):
 
 def build_index(w: str) -> JumbledIndex:
     """Index ``w`` for Parikh-vector occurrence queries."""
-    max_a, min_a = a_count_bounds(w)
-    return _trusted(JumbledIndex, n=len(w),
+    return _trusted_index(*a_count_bounds(w))
+
+
+def _trusted_index(max_a, min_a):  # rows valid by construction
+    return _trusted(JumbledIndex, n=len(max_a) - 1,
                     max_a=_trusted(OnesProfile, kind="max-a",
                                    values=tuple(max_a)),
                     min_a=_trusted(OnesProfile, kind="min-a",
@@ -83,15 +78,10 @@ def query(ix: JumbledIndex, q: tuple[int, int]) -> bool:
 
 
 def index_from_pnf(p: PnfPair) -> JumbledIndex:
-    """Rebuild the index from a normal-form pair in one O(n) pass.
-
-    The pair must describe one source word: the a-count of the a-side form
-    and the b-count of the b-side form have to sum to the length.
-    """
+    """Rebuild the index from a normal-form pair in one O(n) pass.  The
+    index is not checked again: PnfPair has made JumbledIndex's checks."""
     # The b-side form has its a's where min-a steps up.
-    max_a, min_a = prefix_counts(p.pnf_a), prefix_counts(p.pnf_b)
-    return JumbledIndex(p.source_length, OnesProfile("max-a", tuple(max_a)),
-                        OnesProfile("min-a", tuple(min_a)))
+    return _trusted_index(prefix_counts(p.pnf_a), prefix_counts(p.pnf_b))
 
 
 def pnf_from_index(ix: JumbledIndex) -> PnfPair:

@@ -23,7 +23,8 @@ prefix-closed, a failed word can never be repaired by extending it.
 
 from __future__ import annotations
 
-from .profiles import _trusted, a_count_bounds, first_excess, max_a_profile
+from .profiles import (_check_bounds, _trusted, a_count_bounds,
+                       first_excess, max_a_profile)
 from .words import (ParseError, Record, a_positions, complement,
                     complement_counts, parse_word, prefix_counts,
                     word_from_counts)
@@ -46,8 +47,9 @@ def build_pnf_b(w: str) -> str:
 class PnfPair(Record):
     """Both prefix normal forms of one source word.
 
-    Validates that the components have equal length and are prefix normal
-    on their respective sides (one first_excess call per side).
+    Checks what JumbledIndex checks: equal lengths, each side prefix normal
+    (one first_excess call per side), then the index's total and order.
+    Neither checks that some word has the pair: none has ("aabb", "baba").
     """
 
     pnf_a: str
@@ -58,10 +60,12 @@ class PnfPair(Record):
             raise ValueError(
                 f"component lengths differ: {len(self.pnf_a)} vs "
                 f"{len(self.pnf_b)}")
-        if first_excess(prefix_counts(self.pnf_a)):
+        if first_excess(max_a := prefix_counts(self.pnf_a)):
             raise ValueError(f"{self.pnf_a!r} is not prefix normal (a-side)")
-        if first_excess(complement_counts(prefix_counts(self.pnf_b))):
+        min_a = prefix_counts(self.pnf_b)
+        if first_excess(complement_counts(min_a)):
             raise ValueError(f"{self.pnf_b!r} is not prefix normal (b-side)")
+        _check_bounds(max_a, min_a)
 
     @property
     def source_length(self) -> int:

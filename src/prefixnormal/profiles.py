@@ -24,7 +24,7 @@ symbols, 7 in 10^4 blocks, so their index files are checked packed.
 from __future__ import annotations
 
 from math import isqrt
-from operator import sub
+from operator import gt, sub
 from struct import pack, unpack
 
 from .words import Record, complement, complement_counts, prefix_counts
@@ -74,6 +74,20 @@ def _trusted(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _check_bounds(max_a, min_a):
+    """Raise ValueError unless an index's rows max_a and min_a of length
+    n + 1 make a word of length n and min_a never passes max_a."""
+    n = len(max_a) - 1
+    a_total, b_total = max_a[n], n - min_a[n]
+    if a_total + b_total != n:  # one window of length n
+        raise ValueError(f"inconsistent index: {a_total} a's plus "
+                         f"{b_total} b's cannot make a word of length {n}")
+    if any(map(gt, min_a, max_a)):  # C speed
+        k = next(k for k in range(n + 1) if min_a[k] > max_a[k])
+        raise ValueError(f"min_a[{k}] = {min_a[k]} "
+                         f"exceeds max_a[{k}] = {max_a[k]}")
 
 
 def _room(n, spend=0):

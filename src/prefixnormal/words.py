@@ -11,10 +11,10 @@ value classes, is a pure function over immutable values.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from itertools import accumulate
 from operator import sub
-from typing import NamedTuple
 
 # Accepted input alphabets for parse_word.  Canonical output is always a/b.
 # In binary mode 1 maps to a and 0 maps to b.
@@ -39,11 +39,10 @@ class ParseError(ValueError):
         self.position = position
 
 
-class ParikhVector(NamedTuple):
+class ParikhVector(namedtuple("ParikhVector", "a_count b_count")):
     """Symbol multiplicities (number of a's, number of b's) of a word."""
 
-    a_count: int
-    b_count: int
+    __slots__ = ()
 
     @property
     def length(self) -> int:

@@ -505,6 +505,29 @@ def test_short_commands_leave_dataclasses_and_inspect_unloaded(tmp_path):
         assert not loaded & {"dataclasses", "inspect"}, argvs
 
 
+def test_imports_and_short_commands_leave_typing_unloaded():
+    # -S, because a site hook may load typing before the package does
+    src = str(Path(prefixnormal.__file__).resolve().parents[1])
+    argvs = [["pnf", "ab"], ["test", "ab"], ["classify", "ab"],
+             ["index", "build", "abba"], ["classes", "--members", "aab"]]
+    script = ("import sys\n"
+              f"sys.path.insert(0, {src!r})\n"
+              "import prefixnormal.words\n"
+              "typed = ['typing' in sys.modules and 'words']\n"
+              "import prefixnormal.cli as cli\n"
+              f"for argv in {argvs!r}:\n"
+              "    assert cli.main(argv) in (0, 1), argv\n"
+              "    typed.append('typing' in sys.modules and argv)\n"
+              "for name in ('census', 'geometry', 'jpm', 'lyndon'):\n"
+              "    __import__('prefixnormal.' + name)\n"
+              "    typed.append('typing' in sys.modules and name)\n"
+              "print([step for step in typed if step])\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def _few_runs_text(n, shift=0):
     """n symbols in runs of 100..299 symbols."""
     runs = [100 + (37 * i + shift) % 200 for i in range(n // 100 + 1)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from prefixnormal import (JumbledIndex, OnesProfile, PnfPair, build_index,
                           index_from_json, index_from_pnf, index_to_json,
                           parikh_set_equal, parikh_set_oracle, pnf_from_index,
-                          pnf_pair, query, reverse)
+                          pnf_pair, prefix_counts, query, reverse)
 from prefixnormal.jpm import DEFAULT_ORACLE_BOUND
 
 from _oracles import brute_parikh_set, random_word, words_of_length, words_up_to
@@ -98,6 +98,27 @@ def test_index_from_pnf_examples():
     ix = index_from_pnf(PnfPair("ab", "ba"))
     assert ix.max_a.values == (0, 1, 1)
     assert ix.min_a.values == (0, 0, 1)
+
+
+def _rejects(build, *args):
+    try:
+        build(*args)
+    except ValueError:
+        return True
+    return False
+
+
+def test_pnf_pair_rejects_exactly_what_the_index_rejects():
+    # a normal-form pair is the index written another way, so the two
+    # records must accept the same pairs: all 21845 of length n <= 7
+    for n in range(8):
+        words = list(words_of_length(n))
+        counts = [tuple(prefix_counts(w)) for w in words]
+        for a, max_a in zip(words, counts):
+            for b, min_a in zip(words, counts):
+                assert _rejects(PnfPair, a, b) == _rejects(
+                    JumbledIndex, n, OnesProfile("max-a", max_a),
+                    OnesProfile("min-a", min_a)), (a, b)
 
 
 def test_pnf_from_index_examples():

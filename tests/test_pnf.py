@@ -192,6 +192,15 @@ def test_pnf_pair_type():
         PnfPair("ab", "ab")
     with pytest.raises(ValueError):
         PnfPair("ab", "b")
+    # each side is prefix normal, yet the pair is no index: min-a passes
+    # max-a at k = 3, and the a-counts differ
+    for pnf_a, pnf_b, message in (
+            ("abba", "baab", "min_a[3] = 2 exceeds max_a[3] = 1"),
+            ("aa", "bb", "inconsistent index: 2 a's plus 2 b's cannot "
+             "make a word of length 2")):
+        with pytest.raises(ValueError) as err:
+            PnfPair(pnf_a, pnf_b)
+        assert str(err.value) == message
 
 
 def test_witness_examples():

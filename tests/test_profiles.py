@@ -583,7 +583,7 @@ def test_one_kernel_call_per_word_and_per_chunk(monkeypatch, capsys,
         fn(*args)
         return len(calls), len(sides)
 
-    decided_sides = {PnfPair: 2, pnf_from_index: 0, index_from_pnf: 2,
+    decided_sides = {PnfPair: 2, pnf_from_index: 0, index_from_pnf: 0,
                      normality_witness: 1, is_prefix_normal: 1}
     long_word = random_word(random.Random(2205), 300)
     for w in (EXAMPLE_WORD, long_word, build_pnf_a(long_word)):

@@ -1,4 +1,5 @@
 import inspect
+import pickle
 import random
 
 import pytest
@@ -71,6 +72,17 @@ def test_parikh_examples():
     assert parikh(EXAMPLE_WORD) == (10, 10)
     assert parikh("aabb") == ParikhVector(2, 2)
     assert parikh("aabb").length == 4
+    v = ParikhVector(b_count=2, a_count=3)
+    assert repr(v) == "ParikhVector(a_count=3, b_count=2)"
+    assert v == (3, 2) and hash(v) == hash((3, 2)) and v.length == 5
+    assert ParikhVector._fields == ("a_count", "b_count")
+    assert (v.a_count, v.b_count) == tuple(v) == (3, 2)
+    with pytest.raises(AttributeError):
+        v.a_count = 1
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    copy = pickle.loads(pickle.dumps(v))
+    assert type(copy) is ParikhVector and copy == v
 
 
 def test_parikh_rejects_foreign_symbols():
