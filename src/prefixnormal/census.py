@@ -24,7 +24,7 @@ from itertools import islice
 from operator import gt
 
 from .pnf import _a_extends, is_prefix_normal
-from .profiles import _trusted, window_max
+from .profiles import _slide, _trusted
 from .words import Record, parse_word, prefix_counts
 
 DEFAULT_COUNT_BOUND = 24
@@ -202,12 +202,6 @@ def counts_table(max_n: int, what: str = "both",
 # ---------------------------------------------------------------------------
 # Class census
 
-def _chunk_ranges(n: int) -> list[tuple[int, int]]:
-    """Census chunks, each the widest power of two <= _BATCH_COLUMNS."""
-    width = 1 << min(n, _BATCH_COLUMNS.bit_length() - 1)
-    return [(s, s + width) for s in range(0, 1 << n, width)]
-
-
 def _pnf_codes(n: int):
     """(first code, packed normal forms) of each chunk, in code order.
 
@@ -217,20 +211,19 @@ def _pnf_codes(n: int):
     table of the a-counts of all 2^b tails plus the head's a-count.
     """
     import numpy as np
-    chunks = _chunk_ranges(n)
-    width = chunks[0][1]
-    b = width.bit_length() - 1
+    b = min(n, _BATCH_COLUMNS.bit_length() - 1)  # 2^b words a chunk
+    width = 1 << b
     tails = ~np.arange(width)  # bit b - 1 - k set: an a at k
     table = np.zeros((b + 1, width), np.int8)
     for k in range(b):  # window axis first: one contiguous row per k
         table[k + 1] = table[k] + (tails >> (b - 1 - k) & 1)
     block = np.empty((n + 1, width), np.int8)
-    for lo, _ in chunks:
+    for lo in range(0, 1 << n, width):
         for j in range(n - b):
             block[j] = j - (lo >> n - j).bit_count()
         np.add(table, n - b - (lo >> b).bit_count(), out=block[n - b:])
         steps = np.zeros(width, np.int32)  # n <= DEFAULT_CENSUS_BOUND <= 30
-        for step in np.diff(window_max(block.T).T, axis=0):  # 1 at an a
+        for step in np.diff(_slide(block), axis=0):  # 1 at an a
             steps <<= 1
             steps += step
         yield lo, np.subtract((1 << n) - 1, steps, out=steps)  # 1 at a b

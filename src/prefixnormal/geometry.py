@@ -15,7 +15,6 @@ bytes.
 
 from __future__ import annotations
 
-from .jpm import JumbledIndex
 from .profiles import OnesProfile, _trusted, a_count_bounds
 from .words import ParikhVector, Record, prefix_counts
 
@@ -48,6 +47,7 @@ class RegionProfile(Record):
     lower: tuple[int, ...]
 
     def __post_init__(self):
+        self.__dict__.update(upper=tuple(self.upper), lower=tuple(self.lower))
         # on the lattice, each boundary is an a-count profile, and the pair
         # is checked as the index it is
         for k, (hi, lo) in enumerate(zip(self.upper, self.lower)):
@@ -56,6 +56,7 @@ class RegionProfile(Record):
                                  "lattice")
         max_a, min_a = (tuple((y + k) // 2 for k, y in enumerate(heights))
                         for heights in (self.upper, self.lower))
+        from .jpm import JumbledIndex  # only a checked region loads jpm
         JumbledIndex(self.n, OnesProfile("max-a", max_a),
                      OnesProfile("min-a", min_a))
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from operator import sub
 
-from .pnf import PnfPair
 from .profiles import (OnesProfile, _check_bounds, _trusted, a_count_bounds,
                        first_excess)
 from .words import (ParikhVector, Record, complement_counts, prefix_counts,
@@ -92,6 +91,7 @@ def pnf_from_index(ix: JumbledIndex) -> PnfPair:
     of index_from_pnf.  The pair is not checked again: JumbledIndex has
     decided both forms.
     """
+    from .pnf import PnfPair  # only this conversion loads pnf
     return _trusted(PnfPair, pnf_a=word_from_counts(ix.max_a.values),
                     pnf_b=word_from_counts(ix.min_a.values))
 
@@ -162,5 +162,5 @@ def index_from_json(text: str) -> JumbledIndex:
             and all(type(v) is int for v in max_vals + min_vals)):
         raise ValueError("index fields must be an integer n and integer "
                          "lists maxA and minA")
-    return JumbledIndex(n, OnesProfile("max-a", tuple(max_vals)),
-                        OnesProfile("min-a", tuple(min_vals)))
+    return JumbledIndex(n, OnesProfile("max-a", max_vals),
+                        OnesProfile("min-a", min_vals))

@@ -50,7 +50,7 @@ class OnesProfile(Record):
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        v = self.values
+        self.__dict__["values"] = v = tuple(self.values)  # hashable
         if not v or v[0] != 0:
             raise ValueError("profile must start with values[0] = 0")
         if not {0, 1}.issuperset(map(sub, v[1:], v[:-1])):  # at C speed
@@ -109,13 +109,10 @@ def _room(n, spend=0):
 def window_max(rows):
     """out[r][k] = max over j of rows[r][j + k] - rows[r][j], k = 0..n.
 
-    ``rows`` are prefix-count rows of length n + 1, each stepping by 0 or
-    1: a list of lists (the rows of one word, each slid as its own block;
-    the result is lists of ints) or an (m, n + 1) integer array, slid as
-    the one (n + 1, m) block rows.T (the result is an array of its dtype).
+    ``rows`` are the prefix-count lists of one word, each of length n + 1
+    and stepping by 0 or 1, each slid on its own; the result is lists of
+    ints.
     """
-    if not isinstance(rows, list):
-        return _slide(rows.T).T.astype(rows.dtype, copy=False)
     n = len(rows[0]) - 1
     if (room := _room(n)) > 0:
         packs = list(map(_packed, rows))

@@ -450,20 +450,60 @@ def test_short_commands_leave_numpy_unloaded():
     assert proc.stdout.splitlines()[-2:] == ["False", "False"]
 
 
-def test_pnf_ab_imports_only_what_it_runs():
+# A command line for each row of README's table of the modules each
+# command loads, and whether it loads json.
+_TABLE_COMMANDS = {
+    "`profiles`": (["profiles", "ab"], False),
+    "`pnf`, `test`": (["pnf", "ab"], False),
+    "`classify`": (["classify", "ab"], True),
+    "`query`, `index build`, `index query`": (["query", "ab", "1", "1"],
+                                              False),
+    "`index pnf`": (["index", "pnf", "{index}"], True),
+    "`region`": (["region", "ab", "-o", "{svg}"], False),
+    "`enumerate`, `classes`, `verify-tables`": (["enumerate", "--max-n",
+                                                 "3"], False),
+}
+
+
+def _readme_module_table():
+    """README's table of the modules each command loads: {its commands
+    cell: module names}, where "the above and X" adds X to the row above."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    first = lines.index("| command | modules loaded |") + 2
+    table, above = {}, set()
+    for line in lines[first:]:
+        if not line.startswith("|"):
+            return table
+        commands, modules = (c.strip() for c in line.strip("|").split("|"))
+        names = set(re.findall(r"`(\w+)`", modules))
+        above = names | (above if modules.startswith("the above") else set())
+        table[commands] = above
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path, capsys):
     # -v logs every module loaded; -X importtime misses `from . import x`
     src = str(Path(prefixnormal.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-v", "-m", "prefixnormal.cli", "pnf", "ab"],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "PNF_a: ab\nPNF_b: ba\n")
-    imported = {line.split("'")[1] for line in proc.stderr.splitlines()
-                if line.startswith("import '")}
-    assert "prefixnormal.pnf" in imported
-    assert not imported & {"prefixnormal.census", "prefixnormal.geometry",
-                           "prefixnormal.jpm", "prefixnormal.lyndon",
-                           "json", "numpy", "dataclasses", "inspect"}
+    index, svg = tmp_path / "ix.json", tmp_path / "r.svg"
+    index.write_text(jpm.index_to_json(jpm.build_index("ab")))
+    table = _readme_module_table()
+    assert table.keys() == _TABLE_COMMANDS.keys()
+    for row, (argv, loads_json) in _TABLE_COMMANDS.items():
+        argv = [arg.format(index=index, svg=svg) for arg in argv]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        proc = subprocess.run(
+            [sys.executable, "-v", "-m", "prefixnormal.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, expected), row
+        imported = {line.split("'")[1] for line in proc.stderr.splitlines()
+                    if line.startswith("import '")}
+        package = {name.split(".")[1] for name in imported
+                   if name.startswith("prefixnormal.")}
+        assert package == table[row], row
+        assert ("json" in imported) == loads_json, row
+        assert not imported & {"numpy", "dataclasses", "inspect"}, row
 
 
 def _run_in_fresh_process(argvs, stdin="", numpy=False):

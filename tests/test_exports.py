@@ -201,3 +201,22 @@ def test_trusted_records_equal_constructed_ones():
     assert prefixnormal.classify("ab") == prefixnormal.WordClass(
         True, True, True, True)
 
+
+def test_records_built_from_lists_equal_and_hash_as_from_tuples():
+    def records(seq):
+        max_a = prefixnormal.OnesProfile("max-a", seq((0, 1, 1)))
+        min_a = prefixnormal.OnesProfile("min-a", seq((0, 0, 1)))
+        return (max_a, prefixnormal.JumbledIndex(2, max_a, min_a),
+                prefixnormal.RegionProfile(seq((0, 1, 0)), seq((0, -1, 0))))
+
+    for from_lists, from_tuples in zip(records(list), records(tuple)):
+        assert from_lists == from_tuples
+        assert hash(from_lists) == hash(from_tuples)
+
+
+def test_no_source_line_is_over_79_columns():
+    package = Path(prefixnormal.__file__).resolve().parent
+    long = [f"{path.name}:{i}" for path in sorted(package.glob("*.py"))
+            for i, line in enumerate(path.read_text("utf-8").splitlines(), 1)
+            if len(line) > 79]
+    assert long == []

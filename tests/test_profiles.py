@@ -104,16 +104,16 @@ def test_window_max_on_periodic_words(n, unit):
                        min_size=1, max_size=50)))
 def test_window_max_on_census_shaped_arrays(words):
     rows = [prefix_counts(w) for w in words]
-    out = profiles.window_max(np.array(rows, dtype=np.int32))
-    assert out.dtype == np.int32 and out.shape == (len(rows), len(rows[0]))
-    assert out.tolist() == brute_window_max(rows)
+    out = profiles._slide(np.array(rows, dtype=np.int32).T)
+    assert out.shape == (len(rows[0]), len(rows))
+    assert out.T.tolist() == brute_window_max(rows)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 9])
 def test_window_max_on_a_whole_census_chunk(n):
     rows = [prefix_counts(w) for w in words_of_length(n)]
-    out = profiles.window_max(np.array(rows, dtype=np.int32))
-    assert out.tolist() == brute_window_max(rows)
+    out = profiles._slide(np.array(rows, dtype=np.int32).T)
+    assert out.T.tolist() == brute_window_max(rows)
 
 
 def _closed_form_bounds(a1, b, a2):
@@ -235,7 +235,7 @@ def test_one_ledger_serves_the_slide_and_first_excess(monkeypatch, ledger):
     assert profiles.first_excess(rows[0]) == 0
     assert slid < ledger.balance < profiles._PACKED_FIELDS
     assert slides == []
-    assert profiles.window_max(np.array(rows)).tolist() == expected
+    assert profiles._slide(np.array(rows).T).T.tolist() == expected
     assert ledger.closed
     assert profiles.window_max(rows) == expected
     assert profiles.first_excess(rows[0]) == 0
@@ -446,8 +446,8 @@ def test_window_max_in_blocks_of_run_starts(monkeypatch, starts):
         assert profiles.window_max(rows) == brute_window_max(rows)
         batch = [prefix_counts(random_word(rng, n)) for _ in range(5)]
         monkeypatch.setattr(profiles, "_BLOCK_BUDGET", starts * (n + 1) * 5)
-        out = profiles.window_max(np.array(batch, dtype=np.int32))
-        assert out.tolist() == brute_window_max(batch)
+        out = profiles._slide(np.array(batch, dtype=np.int32).T)
+        assert out.T.tolist() == brute_window_max(batch)
 
 
 @pytest.mark.parametrize("n", [127, 128, 129, 32767, 32768])
@@ -466,11 +466,11 @@ def test_window_max_array_dtypes_and_layouts(n):
     rows = [prefix_counts(random_word(rng, n)) for _ in range(40)]
     expected = brute_window_max(rows)
     for dtype in (np.int8, np.int32):
-        out = profiles.window_max(np.array(rows, dtype=dtype))
-        assert out.dtype == dtype and out.tolist() == expected
+        out = profiles._slide(np.array(rows, dtype=dtype).T)
+        assert out.T.tolist() == expected
     block = np.ascontiguousarray(np.array(rows, dtype=np.int8).T)
-    out = profiles.window_max(block.T)
-    assert out.dtype == np.int8 and out.tolist() == expected
+    out = profiles._slide(block)
+    assert out.dtype == np.int8 and out.T.tolist() == expected
 
 
 def _check_subadditive(values):
@@ -558,8 +558,9 @@ def test_trusted_builds_pass_the_public_checks():
 
 def test_one_kernel_call_per_word_and_per_chunk(monkeypatch, capsys,
                                                tmp_path):
-    # (window_max calls, first_excess calls): a normality decision makes
-    # one first_excess call per side it decides, and no window_max call
+    # (window_max or census _slide calls, first_excess calls): a normality
+    # decision makes one first_excess call per side it decides, and no
+    # window_max call
     calls, sides = [], []
     kernel, decide = profiles.window_max, profiles.first_excess
 
@@ -571,11 +572,14 @@ def test_one_kernel_call_per_word_and_per_chunk(monkeypatch, capsys,
         sides.append(len(p))
         return decide(p)
 
-    for module in (census, cli, geometry, jpm, pnf, profiles):
+    for module in (cli, geometry, jpm, pnf, profiles):
         if hasattr(module, "window_max"):
             monkeypatch.setattr(module, "window_max", counted)
         if hasattr(module, "first_excess"):
             monkeypatch.setattr(module, "first_excess", counted_decision)
+    slide = census._slide  # the census slides its chunks itself
+    monkeypatch.setattr(census, "_slide",
+                        lambda q: calls.append(q.shape[1]) or slide(q))
 
     def kernel_calls(fn, *args):
         calls.clear()
@@ -608,8 +612,9 @@ def test_one_kernel_call_per_word_and_per_chunk(monkeypatch, capsys,
                 "--csv", str(tmp_path / "r.csv")]
         assert kernel_calls(cli.main, argv) == (1, 0)
 
-    assert kernel_calls(class_census, 17) == (len(census._chunk_ranges(17)),
-                                              0)
+    # one kernel call per chunk of 2^14 words
+    assert kernel_calls(class_census, 17) == (
+        (1 << 17) // census._BATCH_COLUMNS, 0)
 
     for w in (EXAMPLE_WORD, long_word):
         index_file = str(tmp_path / "ix.json")
@@ -635,11 +640,14 @@ def kernel_rows(monkeypatch):
         calls.append(1)
         return decide(p)
 
-    for module in (census, cli, geometry, jpm, pnf, profiles):
+    for module in (cli, geometry, jpm, pnf, profiles):
         if hasattr(module, "window_max"):
             monkeypatch.setattr(module, "window_max", counted)
         if hasattr(module, "first_excess"):
             monkeypatch.setattr(module, "first_excess", counted_decision)
+    slide = census._slide
+    monkeypatch.setattr(census, "_slide",
+                        lambda q: calls.append(q.shape[1]) or slide(q))
     return calls
 
 
