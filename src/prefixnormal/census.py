@@ -10,9 +10,10 @@ sums the binary Lyndon-word counts, and the FKM rule lists them.
 The class census groups all 2^n words by prefix normal form into one
 array of class sizes, one vectorized pass per chunk of words that share
 all but their last b symbols, whose a-counts come off one shared table.
-Representatives are decoded only for output; class_members lists a class
-by a pruned search, without numpy (0.3-5 ms at n = 18, 7-23 ms on the
-largest at n = 20).  Known tables are frozen and re-derived by verify_tables.
+Representatives are decoded only for output, a batch at a time that `classes`
+text writes as it goes (its JSON builds the dict); class_members lists a class
+by a pruned search, without numpy (0.3-5 ms at n = 18, 7-23 ms on the largest
+at n = 20).  Known tables are frozen and re-derived by verify_tables.
 """
 
 from __future__ import annotations
@@ -248,6 +249,19 @@ def _code_texts(codes, n: int) -> list[str]:
     return _texts(np.unpackbits(a_bytes, axis=1)[:, 32 - n:])
 
 
+def _class_chunks(n: int) -> Iterator[tuple[list[str], list[int]]]:
+    """(representatives, sizes) a batch at a time, in lexicographic order."""
+    reps, sizes = _classes(n)
+    for lo in range(0, len(reps), _BATCH_COLUMNS):
+        hi = lo + _BATCH_COLUMNS
+        yield _code_texts(reps[lo:hi], n), sizes[lo:hi].tolist()
+
+
+def _histogram(tally: Counter) -> dict[int, int]:
+    """Classes per size, in size order: the one rule of text and JSON."""
+    return dict(sorted(tally.items()))
+
+
 class ClassCensus(Record):
     """Partition of all words of one length by shared prefix normal form.
 
@@ -266,7 +280,7 @@ class ClassCensus(Record):
 
     def histogram(self) -> dict[int, int]:
         """How many classes have each cardinality."""
-        return dict(sorted(Counter(self.classes.values()).items()))
+        return _histogram(Counter(self.classes.values()))
 
 
 def _check_census_args(n: int) -> None:
@@ -282,12 +296,9 @@ def class_census(n: int, jobs: int = 1) -> ClassCensus:
     """Group all 2^n words of length ``n`` by prefix normal form."""
     _check_census_args(n)
     _check_jobs(jobs)
-    reps, sizes = _classes(n)
     classes: dict[str, int] = {}
-    for lo in range(0, len(reps), _BATCH_COLUMNS):
-        hi = lo + _BATCH_COLUMNS
-        classes.update(zip(_code_texts(reps[lo:hi], n),
-                           sizes[lo:hi].tolist()))
+    for reps, sizes in _class_chunks(n):
+        classes.update(zip(reps, sizes))
     return _trusted(ClassCensus, n=n, classes=classes, total_words=1 << n)
 
 
@@ -502,19 +513,23 @@ def _cmd_classes(args, print_json) -> int:
         return 0
     if args.n is None:
         raise ValueError("either --n or --members is required")
-    result = class_census(args.n)
-    if args.format == "json":
+    if args.format == "json":  # json.dumps needs the whole document
+        result = class_census(args.n)
         doc = {"n": result.n, "classes": result.classes}
         if args.histogram:
             doc["histogram"] = {str(k): v
                                 for k, v in result.histogram().items()}
         print_json(doc)
         return 0
-    _write_lines(f"{rep} {size}\n" for rep, size in result.classes.items())
+    _check_census_args(args.n)  # the text path skips class_census
+    tally = Counter()
+    for reps, sizes in _class_chunks(args.n):
+        _write_lines(f"{rep} {size}\n" for rep, size in zip(reps, sizes))
+        tally.update(sizes)
     if args.histogram:
         print("size classes")
         _write_lines(f"{size} {count}\n"
-                     for size, count in result.histogram().items())
+                     for size, count in _histogram(tally).items())
     return 0
 
 

@@ -287,6 +287,87 @@ def test_classes_histogram_text(capsys):
         + [f"{size} {n}\n" for size, n in sorted(CLASS_HISTOGRAM_N8.items())])
 
 
+def _census_text(result):
+    """The `classes --n N --histogram` text of the census ``result``."""
+    return "".join(
+        [f"{rep} {size}\n" for rep, size in result.classes.items()]
+        + ["size classes\n"]
+        + [f"{size} {n}\n" for size, n in result.histogram().items()])
+
+
+def _no_census_work(*args):
+    raise AssertionError("census work started")
+
+
+def test_classes_text_streams_without_building_the_census(capsys,
+                                                          monkeypatch):
+    # the text path writes its classes a decoded batch at a time and never
+    # builds a ClassCensus; batches of 7, 2 and 1 classes split it anywhere
+    expected = [_census_text(census.class_census(n)) for n in range(10)]
+    monkeypatch.setattr(census, "class_census", _no_census_work)
+    code, out, err = run(capsys, "classes", "--n", "8", "--histogram")
+    assert (code, err) == (0, "")
+    assert out == "".join(
+        [f"{rep} {size}\n" for rep, size in sorted(CLASS_SIZES_N8.items())]
+        + ["size classes\n"]
+        + [f"{size} {n}\n" for size, n in sorted(CLASS_HISTOGRAM_N8.items())])
+    for batch in (7, 2, 1):
+        monkeypatch.setattr(census, "_BATCH_COLUMNS", batch)
+        for n, text in enumerate(expected):
+            assert run(capsys, "classes", "--n", str(n), "--histogram") == (
+                0, text, "")
+
+
+def test_classes_text_at_the_real_batch_width(capsys, monkeypatch):
+    # n = 18 has 25 500 classes: two decode batches of 2^14
+    result = census.class_census(18)
+    assert census._BATCH_COLUMNS < len(result.classes) <= (
+        2 * census._BATCH_COLUMNS)
+    decoded, code_texts = [], census._code_texts
+
+    def counted(codes, n):
+        decoded.append(len(codes))
+        return code_texts(codes, n)
+
+    monkeypatch.setattr(census, "_code_texts", counted)
+    code, out, err = run(capsys, "classes", "--n", "18", "--histogram")
+    assert (code, err) == (0, "")
+    assert decoded == [census._BATCH_COLUMNS,
+                       len(result.classes) - census._BATCH_COLUMNS]
+    lines = out.splitlines()
+    cut = lines.index("size classes")
+    assert lines[:cut] == [f"{rep} {size}"
+                           for rep, size in result.classes.items()]
+    assert lines[cut + 1:] == [f"{size} {n}"
+                               for size, n in result.histogram().items()]
+
+
+def test_classes_text_and_json_histograms_agree(capsys):
+    for n in range(13):
+        histogram = census.class_census(n).histogram()
+        _, out, _ = run(capsys, "classes", "--n", str(n), "--histogram")
+        text = out.split("size classes\n")[1].splitlines()
+        assert dict(map(int, line.split()) for line in text) == histogram
+        _, out, _ = run(capsys, "classes", "--n", str(n), "--histogram",
+                        "--format", "json")
+        assert json.loads(out)["histogram"] == {
+            str(size): count for size, count in histogram.items()}
+        assert list(histogram) == sorted(histogram)
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_classes_checks_jobs_then_the_bound_before_any_census(capsys,
+                                                              monkeypatch,
+                                                              fmt):
+    # the order the jobs check and the census bound are reported in
+    monkeypatch.setattr(census, "_classes", _no_census_work)
+    assert run(capsys, "classes", "--n", "21", "--jobs", "0", *fmt) == (
+        2, "", "error: jobs must be at least 1, got 0\n")
+    assert run(capsys, "classes", "--n", "21", *fmt) == (
+        2, "", "error: length 21 exceeds the census bound 20 (the census "
+        "scans all 2^n words)\n")
+
+
 def test_classes_members_json(capsys):
     code, out, _ = run(capsys, "classes", "--members", "aababbbb",
                        "--format", "json")
