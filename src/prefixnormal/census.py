@@ -3,17 +3,20 @@
 Prefix normal words are closed under truncation, so their tree grows
 level by level, in this process: level d + 1 is level d with every valid
 child appended, a before b, which keeps each level in lexicographic
-order.  Counts up to n = 16 run on Python lists; longer ones and the
-iterator grow int8 numpy blocks.  Pre-necklaces need no tree: their count
-sums the binary Lyndon-word counts, and the FKM rule lists them.
+order.  Counts up to n = 16 run on Python lists until numpy is loaded;
+longer ones and the iterator grow int8 numpy blocks.  Pre-necklaces need no
+tree: their count sums the binary Lyndon-word counts, and the FKM rule lists
+them.
 
 The class census groups all 2^n words by prefix normal form into one
 array of class sizes, one vectorized pass per chunk of words that share
-all but their last b symbols, whose a-counts come off one shared table.
+their first and their last r symbols, whose a-counts come off one shared
+table.  A word's reversal has its normal forms, so of each chunk and its
+reversed twin only one is slid, and its classes count twice.
 Representatives are decoded only for output, a batch at a time that `classes`
-text writes as it goes (its JSON builds the dict); class_members lists a class
-by a pruned search, without numpy (0.3-5 ms at n = 18, 7-23 ms on the largest
-at n = 20).  Known tables are frozen and re-derived by verify_tables.
+text writes as one byte array (its JSON builds the dict); class_members lists
+a class by a pruned search, without numpy (0.3-5 ms at n = 18, 7-23 ms on the
+largest at n = 20).  Known tables are frozen and re-derived by verify_tables.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from .words import Record, parse_word, prefix_counts
 DEFAULT_COUNT_BOUND = 24
 DEFAULT_CENSUS_BOUND = 20  # at most 30: census codes are int32
 
-# Longest prefix normal count run on Python lists: they beat loading numpy
-# up to about n = 18, and match numpy once loaded at n = 10; at 16, the
-# `enumerate` default and the table length, they take 12 ms.
+# Longest prefix normal count run on Python lists while numpy is not loaded:
+# they beat loading numpy up to about n = 18, and match numpy once loaded at
+# n = 10; at 16, the `enumerate` default and the table length, they take 12 ms.
 _LIST_MAX_N = 16
 
 # Columns per batch: of a numpy level, never held whole, of a census chunk,
@@ -73,12 +76,12 @@ def _frontier(n: int, prefix=None, d: int = 0):
             yield from _frontier(n, child[:, lo:lo + _BATCH_COLUMNS], d + 1)
 
 
-def _texts(is_a) -> list[str]:
-    """The words spelled by the 0/1 rows of ``is_a``, 1 for a."""
+def _texts(letters) -> list[str]:
+    """The words spelled by the rows of the byte array ``letters``."""
     import numpy as np
-    m, n = is_a.shape
+    m, n = letters.shape
     lines = np.full((m, n + 1), ord("\n"), np.uint8)  # one line per word
-    lines[:, :n] = ord("b") - is_a
+    lines[:, :n] = letters
     return lines.tobytes().decode("ascii").split("\n")[:-1]  # keeps n = 0
 
 
@@ -93,13 +96,15 @@ def iter_prefix_normal(n: int) -> Iterator[str]:
     _check_iter_length(n)
     for d, prefix, _ in _frontier(n):
         if d == n:
-            yield from _texts((prefix[1:] - prefix[:-1]).T)
+            yield from _texts(ord("b") - (prefix[1:] - prefix[:-1]).T)
 
 
 def _tree_counts(max_n: int) -> list[int]:
-    """Prefix normal words per length 0..max_n."""
+    """Prefix normal words per length 0..max_n: on lists only while numpy
+    is not loaded (profiles._slide's rule for the ledger), else on blocks
+    past n = 0."""
     sizes = [1] + [0] * max_n
-    if max_n <= _LIST_MAX_N:
+    if max_n <= (0 if "numpy" in sys.modules else _LIST_MAX_N):
         level = [(0,)]
         for d in range(max_n):
             level = [p + (p[d] + a,) for p in level
@@ -204,30 +209,46 @@ def counts_table(max_n: int, what: str = "both",
 # Class census
 
 def _pnf_codes(n: int):
-    """(first code, packed normal forms) of each chunk, in code order.
+    """(weight, first code, packed normal forms) of the chunks slid, in code
+    order: each normal form stands for ``weight`` words.
 
     Word code: a = 0, b = 1, first symbol in the most significant bit, so
-    integer order is lexicographic order.  A chunk's 2^b words share their
-    first n - b symbols; one reused block takes their a-counts, then one
-    table of the a-counts of all 2^b tails plus the head's a-count.
+    integer order is lexicographic order.  A chunk's 2^m words share their
+    first r and their last r symbols, head h and end e, for the fewest r
+    that leave m <= log2(_BATCH_COLUMNS); the word of middle t has code
+    first | t << r.  One reused block takes their a-counts: the head's,
+    then one table of the a-counts of all 2^m middles, then the end's.  A
+    word and its reversal share their normal forms (the factors of one are
+    the other's reversed), so chunk (h, e) and its twin (e^R, h^R) hold the
+    same codes: the twin that orders first is slid, with weight 2, or 1
+    when the chunk is its own twin.
     """
     import numpy as np
-    b = min(n, _BATCH_COLUMNS.bit_length() - 1)  # 2^b words a chunk
-    width = 1 << b
-    tails = ~np.arange(width)  # bit b - 1 - k set: an a at k
-    table = np.zeros((b + 1, width), np.int8)
-    for k in range(b):  # window axis first: one contiguous row per k
-        table[k + 1] = table[k] + (tails >> (b - 1 - k) & 1)
+    r = min(n // 2, max(0, n - _BATCH_COLUMNS.bit_length() + 2) // 2)
+    m = n - 2 * r
+    width = 1 << m
+    tails = ~np.arange(width)  # bit m - 1 - k set: an a at k
+    table = np.zeros((m + 1, width), np.int8)
+    for k in range(m):  # window axis first: one contiguous row per k
+        table[k + 1] = table[k] + (tails >> (m - 1 - k) & 1)
     block = np.empty((n + 1, width), np.int8)
-    for lo in range(0, 1 << n, width):
-        for j in range(n - b):
-            block[j] = j - (lo >> n - j).bit_count()
-        np.add(table, n - b - (lo >> b).bit_count(), out=block[n - b:])
-        steps = np.zeros(width, np.int32)  # n <= DEFAULT_CENSUS_BOUND <= 30
-        for step in np.diff(_slide(block), axis=0):  # 1 at an a
-            steps <<= 1
-            steps += step
-        yield lo, np.subtract((1 << n) - 1, steps, out=steps)  # 1 at a b
+    ends = range(1 << r)  # the codes of the r-symbol heads and ends
+    rev = [int(f"{x:0{r}b}"[::-1], 2) for x in ends]
+    counts = [np.array([[j - (x >> r - j).bit_count()] for j in range(r + 1)],
+                       np.int8) for x in ends]  # the prefix a-counts of each
+    for h in ends:
+        for e in ends:
+            if (twin := rev[e] << r | rev[h]) < (pair := h << r | e):
+                continue  # slid as its twin
+            block[:r + 1] = counts[h]
+            np.add(table, counts[h][r], out=block[r:r + m + 1])
+            np.add(block[r + m], counts[e][1:], out=block[r + m + 1:])
+            steps = np.zeros(width, np.int32)  # n <= DEFAULT_CENSUS_BOUND
+            for step in np.diff(_slide(block), axis=0):  # 1 at an a
+                steps <<= 1
+                steps += step
+            yield (1 + (twin != pair), h << n - r | e,
+                   np.subtract((1 << n) - 1, steps, out=steps))  # 1 at a b
 
 
 def _classes(n: int) -> tuple:
@@ -235,26 +256,19 @@ def _classes(n: int) -> tuple:
     sizes; the array of 2^n sizes is freed before a word is decoded."""
     import numpy as np
     sizes = np.zeros(1 << n, dtype=np.int32)
-    for _, chunk in _pnf_codes(n):
+    for weight, _, chunk in _pnf_codes(n):
         codes, counts = np.unique(chunk, return_counts=True)
-        sizes[codes] += counts
+        sizes[codes] += weight * counts
     reps = np.flatnonzero(sizes)
     return reps, sizes[reps]
 
 
-def _code_texts(codes, n: int) -> list[str]:
-    """The words of length ``n`` with these codes (see _pnf_codes)."""
+def _code_letters(codes, n: int):
+    """The uint8 letters, a row per code, of the words of length ``n`` with
+    these codes (see _pnf_codes)."""
     import numpy as np
-    a_bytes = (~codes).astype(">u4").view(np.uint8).reshape(-1, 4)
-    return _texts(np.unpackbits(a_bytes, axis=1)[:, 32 - n:])
-
-
-def _class_chunks(n: int) -> Iterator[tuple[list[str], list[int]]]:
-    """(representatives, sizes) a batch at a time, in lexicographic order."""
-    reps, sizes = _classes(n)
-    for lo in range(0, len(reps), _BATCH_COLUMNS):
-        hi = lo + _BATCH_COLUMNS
-        yield _code_texts(reps[lo:hi], n), sizes[lo:hi].tolist()
+    code_bytes = codes.astype(">u4")[:, None].view(np.uint8)  # 4 a row
+    return np.unpackbits(code_bytes, axis=1)[:, 32 - n:] + ord("a")
 
 
 def _histogram(tally: Counter) -> dict[int, int]:
@@ -296,9 +310,12 @@ def class_census(n: int, jobs: int = 1) -> ClassCensus:
     """Group all 2^n words of length ``n`` by prefix normal form."""
     _check_census_args(n)
     _check_jobs(jobs)
+    reps, sizes = _classes(n)
     classes: dict[str, int] = {}
-    for reps, sizes in _class_chunks(n):
-        classes.update(zip(reps, sizes))
+    for lo in range(0, len(reps), _BATCH_COLUMNS):  # a batch decoded at once
+        hi = lo + _BATCH_COLUMNS
+        classes.update(zip(_texts(_code_letters(reps[lo:hi], n)),
+                           sizes[lo:hi].tolist()))
     return _trusted(ClassCensus, n=n, classes=classes, total_words=1 << n)
 
 
@@ -424,6 +441,10 @@ def verify_tables(max_n: int | None = None,
     if not 1 <= limit <= len(PREFIX_NORMAL_COUNTS):
         raise ValueError(f"max_n must be in 1..{len(PREFIX_NORMAL_COUNTS)}")
     _check_jobs(jobs)
+    # the censuses run first, so that the tree counts find numpy loaded
+    censuses = [(n, sizes, class_census(n))
+                for n, sizes in ((4, CLASS_SIZES_N4), (8, CLASS_SIZES_N8))]
+    max_sizes = [max_class_size(n) for n in range(1, limit + 1)]
     cells: list[CellCheck] = []
 
     for name, counts, found in (
@@ -433,8 +454,7 @@ def verify_tables(max_n: int | None = None,
         cells += [CellCheck(f"{name} count n={n}", counts[n - 1], found[n])
                   for n in range(1, limit + 1)]
 
-    for n, sizes in ((4, CLASS_SIZES_N4), (8, CLASS_SIZES_N8)):
-        result = class_census(n)
+    for n, sizes, result in censuses:
         found = result.classes
         cells.append(CellCheck(f"class count n={n}", len(sizes), len(found)))
         cells += [CellCheck(f"class size n={n} {rep}", size, found.get(rep))
@@ -445,7 +465,7 @@ def verify_tables(max_n: int | None = None,
                                hist.get(size)))
 
     cells += [CellCheck(f"max class size n={n}", MAX_CLASS_SIZES[n - 1],
-                        max_class_size(n)) for n in range(1, limit + 1)]
+                        found) for n, found in enumerate(max_sizes, 1)]
     return VerificationReport(cells)
 
 
@@ -471,6 +491,21 @@ def _write_lines(lines) -> None:
     text at once."""
     while block := "".join(islice(lines, 4096)):
         sys.stdout.write(block)
+
+
+def _class_lines(letters, sizes) -> str:
+    """The lines "word size" of the letter rows ``letters`` and their
+    sizes, built as one byte array: each size right-aligned on zero bytes,
+    which are then dropped."""
+    import numpy as np
+    m, n = letters.shape
+    digits = sizes[:, None] // 10 ** np.arange(len(str(sizes.max())))[::-1]
+    lines = np.zeros((m, n + digits.shape[1] + 2), np.uint8)
+    lines[:, :n] = letters
+    lines[:, n] = ord(" ")
+    lines[:, n + 1:-1] = np.where(digits > 0, digits % 10 + ord("0"), 0)
+    lines[:, -1] = ord("\n")
+    return lines.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _cmd_enumerate(args, print_json) -> int:
@@ -522,14 +557,15 @@ def _cmd_classes(args, print_json) -> int:
         print_json(doc)
         return 0
     _check_census_args(args.n)  # the text path skips class_census
-    tally = Counter()
-    for reps, sizes in _class_chunks(args.n):
-        _write_lines(f"{rep} {size}\n" for rep, size in zip(reps, sizes))
-        tally.update(sizes)
+    reps, sizes = _classes(args.n)
+    for lo in range(0, len(reps), _BATCH_COLUMNS):
+        hi = lo + _BATCH_COLUMNS
+        sys.stdout.write(_class_lines(_code_letters(reps[lo:hi], args.n),
+                                      sizes[lo:hi]))
     if args.histogram:
         print("size classes")
-        _write_lines(f"{size} {count}\n"
-                     for size, count in _histogram(tally).items())
+        _write_lines(f"{size} {count}\n" for size, count
+                     in _histogram(Counter(sizes.tolist())).items())
     return 0
 
 

@@ -7,7 +7,7 @@ terms, and the filter count and Lyndon completion check run the library's
 own predicates over every word.  The depth-first tree walkers at the end
 enumerate both languages one node at a time, independently of the
 level-by-level frontier the library counts with.  The class scan lists
-one normal-form class from the census codes of all 2^n words, apart
+one normal-form class from the packed normal forms of all 2^n words, apart
 from the library's pruned search.  The two formatters at the very end
 print the profile table and the region SVG one cell and one point at a
 time, and ``assert_same_text`` compares their output.
@@ -23,8 +23,8 @@ from typing import Iterator
 
 import pytest
 
-from prefixnormal import (build_pnf_a, census, geometry, is_lyndon,
-                          is_prefix_normal, word_path)
+from prefixnormal import (build_pnf_a, geometry, is_lyndon,
+                          is_prefix_normal, profiles, word_path)
 from prefixnormal.lyndon import _lyndon_prefix_period
 from prefixnormal.pnf import _a_extends
 from prefixnormal.words import prefix_counts, word_from_counts
@@ -301,17 +301,41 @@ def walk_words(kind: str, n: int) -> list[str]:
     return [decode(state) for depth, state in walk("", n) if depth == n]
 
 
+def packed_normal_forms(codes, n: int):
+    """The packed a-side normal forms of the words of length ``n`` with the
+    int array ``codes`` (a = 0, b = 1, first symbol in the top bit, as in
+    ``census._pnf_codes``): each word's prefix a-counts summed from its
+    bits, slid by ``profiles._slide`` and packed one step a bit."""
+    import numpy as np
+    bits = codes >> np.arange(n - 1, -1, -1)[:, None] & 1  # 1 at a b
+    block = np.zeros((n + 1, len(codes)), np.int8)
+    np.cumsum(1 - bits, axis=0, dtype=np.int8, out=block[1:])
+    packed = np.zeros(len(codes), np.int64)
+    for step in np.diff(profiles._slide(block), axis=0):  # 1 at an a
+        packed = packed << 1 | (1 - step)
+    return packed
+
+
+def reversed_codes(codes, n: int):
+    """The codes of the reversals of the words of length ``n`` with
+    ``codes``."""
+    return sum((codes >> i & 1) << n - 1 - i for i in range(n))  # 0 at n = 0
+
+
 @functools.lru_cache(maxsize=1)
 def _census_codes(n: int):
-    """The packed normal form of each of the 2^n words, in code order."""
+    """The packed normal form of each of the 2^n words, in code order, 2^14
+    words at a time."""
     import numpy as np
-    return np.concatenate([codes for _, codes in census._pnf_codes(n)])
+    return np.concatenate([
+        packed_normal_forms(np.arange(lo, min(lo + (1 << 14), 1 << n)), n)
+        for lo in range(0, 1 << n, 1 << 14)])
 
 
 def class_members_by_scan(pnf: str) -> list[str]:
     """The words whose packed normal form is ``pnf``'s, by scanning the
-    class census's codes of all 2^n words (see ``census._pnf_codes``); the
-    codes of the last length asked for are kept."""
+    codes of all 2^n words (see ``packed_normal_forms``); the codes of the
+    last length asked for are kept."""
     import numpy as np
     n, ab = len(pnf), str.maketrans("01", "ab")
     target = int("0" + pnf.replace("a", "0").replace("b", "1"), 2)

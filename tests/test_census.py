@@ -1,5 +1,8 @@
 import random
+import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from prefixnormal import (ClassCensus, CountsRow, build_pnf_a,
@@ -15,8 +18,9 @@ from prefixnormal.census import (CLASS_SIZES_N4, CLASS_SIZES_N8,
 from prefixnormal.words import ParseError
 
 from _oracles import (brute_pre_necklaces, class_members_by_scan,
-                      count_prefix_normal_by_filter, random_word,
-                      subtree_counts, walk_words, words_of_length)
+                      count_prefix_normal_by_filter, packed_normal_forms,
+                      random_word, reversed_codes, subtree_counts,
+                      walk_words, words_of_length, words_up_to)
 
 # The five largest classes at n = 20, with 596, 492, 420, 370 and 354
 # members: the longest lists `classes --members` can print.
@@ -144,22 +148,54 @@ def _packed_pnf(n, code):
 
 
 def test_pnf_codes_match_packed_normal_forms():
+    # up to n = 10 the weighted codes are the normal forms of all 2^n words
     for n in range(1, 11):
-        assert [c for _, codes in census._pnf_codes(n)
-                for c in codes.tolist()] == [
-            _packed_pnf(n, code) for code in range(1 << n)]
-    # n = 14 is one chunk whose table is the whole word, n = 15 the first
-    # census whose chunks share a one-symbol head, n = 17 takes eight
-    starts = {14: [0], 15: [0, 16384],
-              17: [0, 16384, 32768, 49152, 65536, 81920, 98304, 114688]}
+        weighted = Counter()
+        for weight, _, codes in census._pnf_codes(n):
+            for code in codes.tolist():
+                weighted[code] += weight
+        assert weighted == Counter(_packed_pnf(n, code)
+                                   for code in range(1 << n))
+    # chunks fixed on r = 0, 1, 2 and 3 symbols a side: a chunk (h, e) is
+    # slid unless its twin (e^R, h^R) orders first, and is its twin's
+    # weight too; its skipped twin holds its reversed words, whose normal
+    # forms are its own
     rng = random.Random(2207)
-    for n in (17, 14, 15):
+    for n, r in ((14, 0), (15, 1), (17, 2), (20, 3)):
+        rev = {x: int(f"{x:0{r}b}"[::-1], 2) for x in range(1 << r)}
+        slid = [(h, e) for h in rev for e in rev if (rev[e], rev[h]) >= (h, e)]
+        assert len(slid) == (4 ** r + 2 ** r) // 2
         chunks = list(census._pnf_codes(n))
-        assert [(lo, len(codes)) for lo, codes in chunks] == [
-            (lo, 16384) for lo in starts[n]]
-        for lo, codes in chunks:
-            for code in rng.sample(range(lo, lo + len(codes)), 1000):
-                assert codes[code - lo] == _packed_pnf(n, code)
+        assert [(weight, lo) for weight, lo, _ in chunks] == [
+            (1 + ((rev[e], rev[h]) != (h, e)), h << n - r | e)
+            for h, e in slid]
+        fixed = (1 << n) - (1 << n - r) | (1 << r) - 1  # the head and end bits
+        for (h, e), (_, lo, codes) in zip(slid, chunks):
+            assert len(codes) == 1 << n - 2 * r
+            for t in rng.sample(range(len(codes)), 1000):
+                assert codes[t] == _packed_pnf(n, lo | t << r)
+            words = reversed_codes(lo | np.arange(len(codes)) << r, n)
+            assert set((words & fixed).tolist()) == {rev[e] << n - r | rev[h]}
+            assert (np.sort(packed_normal_forms(words, n))
+                    == np.sort(codes)).all()
+
+
+def test_pnf_chunks_hold_the_most_words_a_batch_fits(monkeypatch):
+    # 2^m words fixed on r = (n - m) / 2 symbols a side: the largest m of
+    # n's parity with 2^m <= the batch width, or m = 1 for odd n at width 1
+    for batch, lengths in ((1, 13), (2, 13), (7, 13), (1 << 14, 21)):
+        monkeypatch.setattr(census, "_BATCH_COLUMNS", batch)
+        for n in range(lengths):
+            _, _, codes = next(census._pnf_codes(n))
+            assert len(codes) == 1 << max(
+                m for m in range(n % 2, n + 1, 2) if 1 << m <= batch or m < 2)
+
+
+def test_reversal_keeps_the_normal_form():
+    # the fact the census weights rest on: w and its reversal have the
+    # same factor Parikh vectors, so one normal form
+    for w in words_up_to(12):
+        assert build_pnf_a(w) == build_pnf_a(w[::-1]), w
 
 
 def test_census_partition_properties():
@@ -261,8 +297,8 @@ def test_subtree_counts_sum_to_serial_counts():
 
 
 def test_frontier_counts_match_walkers(monkeypatch):
-    # lists up to the cutoff and blocks above it, so n < 19 spans both
-    # sides of it; with the cutoff at 0, blocks at every length
+    # with numpy loaded, blocks at every length past 0 whatever the cutoff;
+    # the next test pins the lists, which count only while it is not
     assert census._LIST_MAX_N + 1 < 19
     for cut in (census._LIST_MAX_N, 0):
         monkeypatch.setattr(census, "_LIST_MAX_N", cut)
@@ -272,6 +308,25 @@ def test_frontier_counts_match_walkers(monkeypatch):
     for n in range(19):
         assert census._pre_necklace_counts(n) == subtree_counts("pl", "", n)
         assert list(iter_pre_necklaces(n)) == walk_words("pl", n)
+
+
+def test_tree_counts_take_lists_only_while_numpy_is_unloaded(monkeypatch):
+    # numpy loaded, the frontier counts every length past 0; hidden from
+    # sys.modules, as in a fresh process, lists count up to the cutoff
+    cut = census._LIST_MAX_N
+    walked, calls = subtree_counts("pn", "", cut + 1), []
+    frontier = census._frontier
+    monkeypatch.setattr(census, "_frontier",
+                        lambda *args: calls.append(args) or frontier(*args))
+    for n in range(cut + 2):
+        calls.clear()
+        assert census._tree_counts(n) == walked[:n + 1]
+        assert bool(calls) == (n > 0), n
+    monkeypatch.delitem(sys.modules, "numpy")  # the lists import nothing
+    calls.clear()
+    for n in range(cut + 1):
+        assert census._tree_counts(n) == walked[:n + 1]
+    assert calls == []
 
 
 def test_iterators_match_walkers():

@@ -323,13 +323,13 @@ def test_classes_text_at_the_real_batch_width(capsys, monkeypatch):
     result = census.class_census(18)
     assert census._BATCH_COLUMNS < len(result.classes) <= (
         2 * census._BATCH_COLUMNS)
-    decoded, code_texts = [], census._code_texts
+    decoded, code_letters = [], census._code_letters
 
     def counted(codes, n):
         decoded.append(len(codes))
-        return code_texts(codes, n)
+        return code_letters(codes, n)
 
-    monkeypatch.setattr(census, "_code_texts", counted)
+    monkeypatch.setattr(census, "_code_letters", counted)
     code, out, err = run(capsys, "classes", "--n", "18", "--histogram")
     assert (code, err) == (0, "")
     assert decoded == [census._BATCH_COLUMNS,

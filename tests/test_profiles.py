@@ -612,9 +612,9 @@ def test_one_kernel_call_per_word_and_per_chunk(monkeypatch, capsys,
                 "--csv", str(tmp_path / "r.csv")]
         assert kernel_calls(cli.main, argv) == (1, 0)
 
-    # one kernel call per chunk of 2^14 words
-    assert kernel_calls(class_census, 17) == (
-        (1 << 17) // census._BATCH_COLUMNS, 0)
+    # one kernel call per chunk of 2^13 words fixed on r = 2 symbols a
+    # side, one of each pair of reversed twins: (4^r + 2^r) / 2
+    assert kernel_calls(class_census, 17) == (10, 0)
 
     for w in (EXAMPLE_WORD, long_word):
         index_file = str(tmp_path / "ix.json")
